@@ -1,5 +1,7 @@
 #include "bench/harness.hh"
 
+#include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -23,6 +25,40 @@ Options::appList() const
     return apps.empty() ? workloads::applicationNames() : apps;
 }
 
+namespace {
+
+/** Largest accepted workload scale: 64x the evaluation size. */
+constexpr double maxScale = 64.0;
+
+/** Reject the command line: print @p fmt as a fatal message and exit
+ *  with status 2, the usage-error code. */
+[[noreturn]] __attribute__((format(printf, 1, 2))) void
+badArgs(const char *fmt, ...)
+{
+    std::va_list args;
+    va_start(args, fmt);
+    char msg[1024];
+    std::vsnprintf(msg, sizeof(msg), fmt, args);
+    va_end(args);
+    std::fprintf(stderr, "fatal: %s\n", msg);
+    std::exit(2);
+}
+
+/** The positional workload scale: a finite number in (0, maxScale]. */
+double
+parseScale(const char *arg)
+{
+    char *end = nullptr;
+    const double v = std::strtod(arg, &end);
+    if (end == arg || *end != '\0' || !std::isfinite(v) || v <= 0.0 ||
+        v > maxScale)
+        badArgs("bad scale '%s' (expected a number in (0, %g])", arg,
+                maxScale);
+    return v;
+}
+
+} // namespace
+
 Options
 parseArgs(int argc, char **argv, double default_scale)
 {
@@ -36,7 +72,7 @@ parseArgs(int argc, char **argv, double default_scale)
             char *end = nullptr;
             const long v = std::strtol(arg + 7, &end, 10);
             if (*end != '\0' || v < 1 || v > 1024)
-                sim::fatal("bad --jobs value '%s'", arg + 7);
+                badArgs("bad --jobs value '%s'", arg + 7);
             opt.jobs = static_cast<unsigned>(v);
         } else if (std::strncmp(arg, "--apps=", 7) == 0) {
             std::string cur;
@@ -52,16 +88,16 @@ parseArgs(int argc, char **argv, double default_scale)
                 }
             }
             if (opt.apps.empty())
-                sim::fatal("empty --apps list");
+                badArgs("empty --apps list");
         } else if (std::strncmp(arg, "--trace-events=", 15) == 0) {
             if (arg[15] == '\0')
-                sim::fatal("empty --trace-events path");
+                badArgs("empty --trace-events path");
             opt.traceEvents = arg + 15;
         } else if (std::strncmp(arg, "--metrics-interval=", 19) == 0) {
             char *end = nullptr;
             const long long v = std::strtoll(arg + 19, &end, 10);
             if (*end != '\0' || v < 0)
-                sim::fatal("bad --metrics-interval value '%s'",
+                badArgs("bad --metrics-interval value '%s'",
                            arg + 19);
             opt.metricsInterval = v;
         } else if (std::strcmp(arg, "--check") == 0 ||
@@ -69,33 +105,35 @@ parseArgs(int argc, char **argv, double default_scale)
             opt.check.mode = check::CheckMode::Basic;
         } else if (std::strcmp(arg, "--check=deep") == 0) {
             opt.check.mode = check::CheckMode::Deep;
+        } else if (std::strcmp(arg, "--check=off") == 0) {
+            opt.check.mode = check::CheckMode::Off;
         } else if (std::strncmp(arg, "--check=", 8) == 0) {
-            sim::fatal("bad --check mode '%s' (expected basic or deep)",
+            badArgs("bad --check mode '%s' (expected off, basic or deep)",
                        arg + 8);
         } else if (std::strncmp(arg, "--check-interval=", 17) == 0) {
             char *end = nullptr;
             const long long v = std::strtoll(arg + 17, &end, 10);
             if (*end != '\0' || v < 1)
-                sim::fatal("bad --check-interval value '%s'", arg + 17);
+                badArgs("bad --check-interval value '%s'", arg + 17);
             opt.check.everyEvents = static_cast<std::uint64_t>(v);
         } else if (std::strcmp(arg, "--audit=on") == 0) {
             opt.audit = 1;
         } else if (std::strcmp(arg, "--audit=off") == 0) {
             opt.audit = 0;
         } else if (std::strncmp(arg, "--audit", 7) == 0) {
-            sim::fatal("bad --audit value '%s' (expected on or off)",
+            badArgs("bad --audit value '%s' (expected on or off)",
                        arg);
         } else if (std::strncmp(arg, "--checkpoint-at=", 16) == 0) {
             if (arg[16] == '\0')
-                sim::fatal("empty --checkpoint-at spec");
+                badArgs("empty --checkpoint-at spec");
             opt.checkpointAt = arg + 16;
         } else if (std::strncmp(arg, "--checkpoint-to=", 16) == 0) {
             if (arg[16] == '\0')
-                sim::fatal("empty --checkpoint-to directory");
+                badArgs("empty --checkpoint-to directory");
             opt.checkpointTo = arg + 16;
         } else if (std::strncmp(arg, "--restore-from=", 15) == 0) {
             if (arg[15] == '\0')
-                sim::fatal("empty --restore-from path");
+                badArgs("empty --restore-from path");
             opt.restoreFrom = arg + 15;
         } else if (std::strcmp(arg, "--vm=on") == 0) {
             opt.vm.enabled = true;
@@ -105,19 +143,19 @@ parseArgs(int argc, char **argv, double default_scale)
             opt.vmSet = true;
         } else if (std::strncmp(arg, "--vm", 4) == 0 &&
                    (arg[4] == '\0' || arg[4] == '=')) {
-            sim::fatal("bad --vm value '%s' (expected on or off)", arg);
+            badArgs("bad --vm value '%s' (expected on or off)", arg);
         } else if (std::strncmp(arg, "--page-size=", 12) == 0) {
             try {
                 opt.vm.pageBytes = vm::parsePageSize(arg + 12);
             } catch (const std::invalid_argument &e) {
-                sim::fatal("%s", e.what());
+                badArgs("%s", e.what());
             }
             opt.vmSet = true;
         } else if (std::strncmp(arg, "--remap-rate=", 13) == 0) {
             char *end = nullptr;
             const double v = std::strtod(arg + 13, &end);
             if (*end != '\0' || !(v >= 0.0) || v > 1e6)
-                sim::fatal("bad --remap-rate value '%s' (remaps per "
+                badArgs("bad --remap-rate value '%s' (remaps per "
                            "million cycles, >= 0)",
                            arg + 13);
             opt.vm.remapRate = v;
@@ -131,7 +169,7 @@ parseArgs(int argc, char **argv, double default_scale)
                 a = std::strtol(end + 1, &end, 10);
             if (*end != '\0' || e < 0 || e > (1 << 20) || a < 1 ||
                 a > 64 || (e > 0 && e % a != 0))
-                sim::fatal("bad --table-cache value '%s' (expected "
+                badArgs("bad --table-cache value '%s' (expected "
                            "<entries>[,<assoc>], entries divisible by "
                            "assoc, 0 disables)",
                            arg + 14);
@@ -143,7 +181,7 @@ parseArgs(int argc, char **argv, double default_scale)
             const long v = std::strtol(arg + 8, &end, 10);
             if (*end != '\0' || v < 1 ||
                 v > static_cast<long>(sim::maxCores))
-                sim::fatal("bad --cores value '%s' (expected 1..%u)",
+                badArgs("bad --cores value '%s' (expected 1..%u)",
                            arg + 8, unsigned(sim::maxCores));
             opt.cores = static_cast<unsigned>(v);
             cores_seen = true;
@@ -155,14 +193,14 @@ parseArgs(int argc, char **argv, double default_scale)
                 std::printf("%s\n", w.c_str());
             std::printf("trace:<path>\n");
             std::exit(0);
-        } else if (!scale_seen) {
-            opt.scale = std::atof(arg);
+        } else if (!scale_seen && std::strncmp(arg, "--", 2) != 0) {
+            opt.scale = parseScale(arg);
             scale_seen = true;
         } else {
-            sim::fatal("unexpected argument '%s' (usage: bench "
+            badArgs("unexpected argument '%s' (usage: bench "
                        "[scale] [--jobs=N] [--apps=A,B,...] "
                        "[--trace-events=PATH] [--metrics-interval=N] "
-                       "[--check[=basic|deep]] [--check-interval=N] "
+                       "[--check[=off|basic|deep]] [--check-interval=N] "
                        "[--audit=on|off] "
                        "[--checkpoint-at=SPEC] [--checkpoint-to=DIR] "
                        "[--restore-from=PATH] [--cores=N] "
@@ -201,7 +239,7 @@ parseArgs(int argc, char **argv, double default_scale)
         try {
             (void)ckpt::CheckpointImage::readHeader(opt.restoreFrom);
         } catch (const ckpt::CkptError &e) {
-            sim::fatal("--restore-from: %s", e.what());
+            badArgs("--restore-from: %s", e.what());
         }
         driver::setRestoreFrom(opt.restoreFrom);
     }

@@ -52,7 +52,7 @@ namespace bench {
 /**
  * Common bench CLI: `bench [scale] [--jobs=N] [--apps=A,B,...]
  * [--trace-events=PATH] [--metrics-interval=N]
- * [--check[=basic|deep]] [--check-interval=N] [--audit=on|off]
+ * [--check[=off|basic|deep]] [--check-interval=N] [--audit=on|off]
  * [--checkpoint-at=SPEC] [--checkpoint-to=DIR] [--restore-from=PATH]
  * [--vm=on|off] [--page-size=4k|2m] [--remap-rate=R]
  * [--table-cache=<entries>[,<assoc>]] [--list-workloads]`.
@@ -106,7 +106,7 @@ struct Options
 
 /**
  * Parse the common CLI.  A bare positional argument is the workload
- * scale; `--jobs=N` overrides the worker count for this process (it
+ * scale, a finite number in (0, 64]; `--jobs=N` overrides the worker count for this process (it
  * takes precedence over ULMT_JOBS); `--apps=A,B,...` replaces the
  * default workload set with any mix of application names and
  * `trace:<path>` corpora; `--trace-events=PATH` streams Chrome trace
@@ -114,7 +114,7 @@ struct Options
  * the time-series sampling interval (0 disables sampling);
  * `--check` (or `--check=basic`) runs the invariant checker on every
  * run, `--check=deep` additionally diffs the lockstep reference
- * models, and `--check-interval=N` sets the cadence in executed
+ * models, `--check=off` keeps the default (no checker), and `--check-interval=N` sets the cadence in executed
  * events (default 2048);
  * `--audit=on|off` forces the (passive, on-by-default) prefetch
  * lifecycle auditor for every run;
@@ -132,6 +132,8 @@ struct Options
  * geometry in front of the correlation table's DRAM traffic (0
  * disables it, the default);
  * `--list-workloads` prints the registered workload names and exits.
+ * A bad command line prints a `fatal:` message naming the bad input
+ * and exits with status 2, before any simulation runs.
  */
 Options parseArgs(int argc, char **argv, double default_scale);
 

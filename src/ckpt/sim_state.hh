@@ -12,6 +12,8 @@
 #ifndef CKPT_SIM_STATE_HH
 #define CKPT_SIM_STATE_HH
 
+#include <string>
+
 #include "ckpt/state.hh"
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
@@ -101,19 +103,38 @@ save(StateWriter &w, const sim::PriorityTimeline &t)
     }
 }
 
+/**
+ * Restore timeline @p t, named @p name in any error.  The placement
+ * search relies on the bookings being sorted by start, each with
+ * end > start, so a checkpoint that breaks either is rejected, as is a
+ * booking count the remaining payload cannot hold.
+ */
 inline void
-restore(StateReader &r, sim::PriorityTimeline &t)
+restore(StateReader &r, sim::PriorityTimeline &t, const std::string &name)
 {
     sim::PriorityTimeline::State st;
     st.pruneBefore = r.u64();
     st.busyTotal = r.u64();
     const std::uint64_t n = r.u64();
+    // Each booking takes at least three bytes: two varints and a bool.
+    if (n > r.remaining() / 3)
+        throw CkptError(name + " timeline: booking count " +
+                        std::to_string(n) +
+                        " exceeds the remaining payload");
     st.bookings.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
         sim::PriorityTimeline::Interval iv;
         iv.start = r.u64();
         iv.end = r.u64();
         iv.high = r.b();
+        if (iv.end <= iv.start)
+            throw CkptError(name + " timeline: booking " +
+                            std::to_string(i) + " ends at or before "
+                            "its start");
+        if (!st.bookings.empty() && iv.start < st.bookings.back().start)
+            throw CkptError(name + " timeline: booking " +
+                            std::to_string(i) +
+                            " is not sorted by start");
         st.bookings.push_back(iv);
     }
     t.restore(st);

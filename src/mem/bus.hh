@@ -106,7 +106,8 @@ class Bus
         busyByClass_.fill(0);
     }
 
-    /** Register per-class busy counters under "bus.busy.*". */
+    /** Register per-class busy counters under "bus.busy.*" and the
+     *  passive "bus.stale_requests" (sim::PriorityTimeline). */
     void
     registerStats(sim::StatRegistry &reg) const
     {
@@ -121,6 +122,9 @@ class Bus
                          return static_cast<double>(
                              timeline_.busyTotal());
                      });
+        reg.addGauge("bus.stale_requests", [this] {
+            return static_cast<double>(timeline_.staleRequests());
+        });
     }
 
     /** Emit spans into @p t (nullptr disables; the default). */
@@ -138,7 +142,7 @@ class Bus
     void
     restoreState(ckpt::StateReader &r)
     {
-        ckpt::restore(r, timeline_);
+        ckpt::restore(r, timeline_, "bus");
         for (sim::Cycle &busy : busyByClass_)
             busy = r.u64();
     }

@@ -13,6 +13,7 @@
 #define MEM_DRAM_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "ckpt/sim_state.hh"
@@ -123,13 +124,23 @@ class Dram
     std::size_t numBanks() const { return banks_.size(); }
     std::size_t numChannels() const { return channels_.size(); }
 
-    /** Register access/row-hit counters under "dram.*". */
+    /** Register access/row-hit counters under "dram.*", plus the
+     *  passive "dram.stale_requests" summed over every bank and channel
+     *  timeline (sim::PriorityTimeline). */
     void
     registerStats(sim::StatRegistry &reg) const
     {
         reg.addCounter("dram.accesses", &stats_.accesses);
         reg.addCounter("dram.row_hits", &stats_.rowHits);
         reg.addCounter("dram.row_misses", &stats_.rowMisses);
+        reg.addGauge("dram.stale_requests", [this] {
+            std::uint64_t n = 0;
+            for (const Bank &b : banks_)
+                n += b.timeline.staleRequests();
+            for (const sim::PriorityTimeline &c : channels_)
+                n += c.staleRequests();
+            return static_cast<double>(n);
+        });
     }
 
     /** Emit bank/channel spans into @p t (nullptr disables). */
@@ -171,16 +182,18 @@ class Dram
             throw ckpt::CkptError(
                 "DRAM bank count in checkpoint does not match the "
                 "configuration");
-        for (Bank &b : banks_) {
-            b.openRow = r.u64();
-            ckpt::restore(r, b.timeline);
+        for (std::size_t i = 0; i < banks_.size(); ++i) {
+            banks_[i].openRow = r.u64();
+            ckpt::restore(r, banks_[i].timeline,
+                          "DRAM bank " + std::to_string(i));
         }
         if (r.u64() != channels_.size())
             throw ckpt::CkptError(
                 "DRAM channel count in checkpoint does not match the "
                 "configuration");
-        for (sim::PriorityTimeline &c : channels_)
-            ckpt::restore(r, c);
+        for (std::size_t i = 0; i < channels_.size(); ++i)
+            ckpt::restore(r, channels_[i],
+                          "DRAM channel " + std::to_string(i));
         stats_.accesses = r.u64();
         stats_.rowHits = r.u64();
         stats_.rowMisses = r.u64();

@@ -431,12 +431,20 @@ class ResourceTimeline
  * Callers may reserve the resource for ready times in the near future
  * (a demand fetch books its DRAM slot after its queueing delays), so
  * grants cannot be first-come-first-served in call order.  Instead the
- * timeline keeps the set of booked intervals and places each
- * high-priority request in the earliest idle gap at or after its ready
- * time.  Low-priority requests queue strictly behind everything
- * already booked; a high-priority request waits only for bookings of
- * its own class plus at most one low-priority transfer that had
- * already started at its ready time (non-preemptive service).
+ * timeline keeps the set of booked intervals and places each request
+ * in the earliest idle gap at or after its ready time that is long
+ * enough for it.  A low-priority request respects every booking, but
+ * it may still fill an idle gap that lies before a later booking; a
+ * high-priority request waits only for bookings of its own class plus
+ * at most one low-priority transfer that had already started at its
+ * ready time (non-preemptive service).
+ *
+ * Placement costs O(log n) plus the bookings the request overlaps.
+ * The live bookings are bookings_[head_..), sorted by start.  The gap
+ * search starts past every booking that ends at or before the ready
+ * time: an in-order request resumes from a cached cursor, and an
+ * out-of-order one binary-searches for the first booking that starts
+ * after ready - maxDuration_ (anything earlier ends by ready).
  */
 class PriorityTimeline
 {
@@ -455,25 +463,13 @@ class PriorityTimeline
     {
         SIM_ASSERT(duration > 0, "zero-length resource reservation");
         busyTotal_ += duration;
+        if (ready < pruneBefore_)
+            ++staleRequests_;
         prune(ready);
 
-        // Start the gap search from the cached cursor instead of the
-        // front of the list.  Invariant: every booking before cursor_
-        // ends at or before cursorReady_, so for a request with
-        // ready >= cursorReady_ the search would skip all of them
-        // (their end <= ready <= t).  Ready times arrive almost
-        // monotonically in event order; the rare out-of-order request
-        // falls back to a full scan.
-        std::size_t pos = 0;
-        if (ready >= cursorReady_) {
-            pos = cursor_;
-            while (pos < bookings_.size() && bookings_[pos].end <= ready)
-                ++pos;
-            cursor_ = pos;
-            cursorReady_ = ready;
-        }
-
+        const std::size_t first = searchStart(ready);
         Cycle t = ready;
+        std::size_t pos = first;
         for (; pos < bookings_.size(); ++pos) {
             const Interval &b = bookings_[pos];
             if (b.end <= t)
@@ -491,13 +487,20 @@ class PriorityTimeline
         }
         // Insert keeping the list sorted by start (overcommit from
         // displaced low bookings can make it non-disjoint, which the
-        // gap search tolerates).
-        std::size_t at = bookings_.size();
-        while (at > 0 && bookings_[at - 1].start > t)
-            --at;
-        bookings_.insert(bookings_.begin() +
-                             static_cast<std::ptrdiff_t>(at),
-                         Interval{t, t + duration, high_priority});
+        // gap search tolerates): after every booking that starts at or
+        // before t.  Those before `first` end by ready <= t, and the
+        // one the search stopped at starts after t.
+        std::size_t at = firstStartAfter(first, pos, t);
+        const Interval booking{t, t + duration, high_priority};
+        if (at == head_ && head_ > 0) {
+            at = --head_;  // reuse the newest pruned slot
+            bookings_[at] = booking;
+        } else {
+            bookings_.insert(bookings_.begin() +
+                                 static_cast<std::ptrdiff_t>(at),
+                             booking);
+        }
+        maxDuration_ = std::max(maxDuration_, duration);
         // The new booking ends after its ready time, so it may violate
         // the cursor invariant if it landed inside the skipped prefix.
         if (at < cursor_)
@@ -507,12 +510,24 @@ class PriorityTimeline
 
     Cycle busyTotal() const { return busyTotal_; }
 
+    /**
+     * Requests whose ready time was already behind the prune boundary
+     * (DESIGN.md sect. 5): they are placed without the bookings pruned
+     * before them, so they may land in a slot that full history would
+     * show as taken.  Passive: not checkpointed and excluded from every
+     * fingerprint.
+     */
+    std::uint64_t staleRequests() const { return staleRequests_; }
+
     void
     reset()
     {
         bookings_.clear();
+        head_ = 0;
+        maxDuration_ = 0;
         pruneBefore_ = 0;
         busyTotal_ = 0;
+        staleRequests_ = 0;
         cursor_ = 0;
         cursorReady_ = 0;
     }
@@ -520,6 +535,7 @@ class PriorityTimeline
     /** Complete serializable state (checkpointing). */
     struct State
     {
+        /** Live bookings, sorted by start, each with end > start. */
         std::vector<Interval> bookings;
         Cycle pruneBefore = 0;
         Cycle busyTotal = 0;
@@ -528,13 +544,20 @@ class PriorityTimeline
     State
     snapshot() const
     {
-        return State{bookings_, pruneBefore_, busyTotal_};
+        return State{std::vector<Interval>(
+                         bookings_.begin() +
+                             static_cast<std::ptrdiff_t>(head_),
+                         bookings_.end()),
+                     pruneBefore_, busyTotal_};
     }
 
+    /** @p s must hold its invariants (ckpt::restore validates them). */
     void
     restore(const State &s)
     {
         bookings_ = s.bookings;
+        head_ = 0;
+        refreshMaxDuration();
         pruneBefore_ = s.pruneBefore;
         busyTotal_ = s.busyTotal;
         // The cursor is a pure search accelerator; restarting it from
@@ -545,9 +568,51 @@ class PriorityTimeline
 
   private:
     /**
-     * Drop bookings that can no longer affect placement: event-order
-     * skew is bounded by how far components pre-book (well under the
-     * margin).
+     * Index of the first booking the gap search for @p ready must
+     * visit; every live booking before it ends at or before @p ready.
+     */
+    std::size_t
+    searchStart(Cycle ready)
+    {
+        // Invariant: every live booking before cursor_ ends at or
+        // before cursorReady_.  Ready times arrive almost monotonically
+        // in event order, so the cursor usually needs a step or two.
+        if (ready >= cursorReady_) {
+            std::size_t pos = cursor_;
+            while (pos < bookings_.size() && bookings_[pos].end <= ready)
+                ++pos;
+            cursor_ = pos;
+            cursorReady_ = ready;
+            return pos;
+        }
+        // Out of order: a booking that starts at or before
+        // ready - maxDuration_ ends at or before ready.
+        if (ready < maxDuration_)
+            return head_;
+        return firstStartAfter(head_, bookings_.size(),
+                               ready - maxDuration_);
+    }
+
+    /** Index of the first booking in [lo, hi) that starts after @p v
+     *  (hi if none does). */
+    std::size_t
+    firstStartAfter(std::size_t lo, std::size_t hi, Cycle v) const
+    {
+        const auto it = std::upper_bound(
+            bookings_.begin() + static_cast<std::ptrdiff_t>(lo),
+            bookings_.begin() + static_cast<std::ptrdiff_t>(hi), v,
+            [](Cycle x, const Interval &b) { return x < b.start; });
+        return static_cast<std::size_t>(it - bookings_.begin());
+    }
+
+    /**
+     * Drop the leading bookings that end a full margin behind the
+     * newest ready time seen.  The boundary follows ready times, not
+     * the event clock, so one far-ahead request drags it forward; a
+     * later request behind it (counted in staleRequests_) is placed
+     * without the dropped bookings.  On remap-heavy machines such
+     * requests arrive far more than the margin behind (a known defect,
+     * DESIGN.md sect. 5).
      */
     void
     prune(Cycle ready)
@@ -556,23 +621,44 @@ class PriorityTimeline
         if (ready <= margin || ready - margin <= pruneBefore_)
             return;
         pruneBefore_ = ready - margin;
-        std::size_t keep = 0;
-        while (keep < bookings_.size() &&
-               bookings_[keep].end <= pruneBefore_)
-            ++keep;
-        if (keep > 0) {
+        while (head_ < bookings_.size() &&
+               bookings_[head_].end <= pruneBefore_)
+            ++head_;
+        cursor_ = std::max(cursor_, head_);
+        // Compact once the dead prefix is at least as long as the live
+        // part: a compaction moves no more bookings than it frees, and
+        // storage stays within twice the live bookings plus the floor.
+        constexpr std::size_t compactFloor = 64;
+        if (head_ >= compactFloor && head_ >= bookings_.size() - head_) {
             bookings_.erase(bookings_.begin(),
                             bookings_.begin() +
-                                static_cast<std::ptrdiff_t>(keep));
-            cursor_ = cursor_ > keep ? cursor_ - keep : 0;
+                                static_cast<std::ptrdiff_t>(head_));
+            cursor_ -= head_;
+            head_ = 0;
+            refreshMaxDuration();
         }
     }
 
+    /** Tighten maxDuration_ to the longest live booking. */
+    void
+    refreshMaxDuration()
+    {
+        maxDuration_ = 0;
+        for (std::size_t i = head_; i < bookings_.size(); ++i)
+            maxDuration_ = std::max(maxDuration_,
+                                    bookings_[i].end - bookings_[i].start);
+    }
+
+    /** bookings_[0..head_) are pruned slots awaiting compaction. */
     std::vector<Interval> bookings_;
+    std::size_t head_ = 0;
+    /** At least the longest live booking's duration. */
+    Cycle maxDuration_ = 0;
     Cycle pruneBefore_ = 0;
     Cycle busyTotal_ = 0;
-    /** Gap-search resume point: bookings_[0..cursor_) all end at or
-     *  before cursorReady_. */
+    std::uint64_t staleRequests_ = 0;
+    /** Gap-search resume point: bookings_[head_..cursor_) all end at
+     *  or before cursorReady_. */
     std::size_t cursor_ = 0;
     Cycle cursorReady_ = 0;
 };
