@@ -1,10 +1,8 @@
 #include "bench/harness.hh"
 
-#include <cmath>
-#include <cstdarg>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <ctime>
 #include <stdexcept>
 
@@ -19,6 +17,8 @@
 
 namespace bench {
 
+using driver::flagValue;
+
 const std::vector<std::string> &
 Options::appList() const
 {
@@ -27,33 +27,20 @@ Options::appList() const
 
 namespace {
 
-/** Largest accepted workload scale: 64x the evaluation size. */
-constexpr double maxScale = 64.0;
-
-/** Reject the command line: print @p fmt as a fatal message and exit
- *  with status 2, the usage-error code. */
-[[noreturn]] __attribute__((format(printf, 1, 2))) void
-badArgs(const char *fmt, ...)
+/** Reject the command line; parseArgs prints @p msg as a fatal message
+ *  and exits with status 2, the usage-error code. */
+[[noreturn]] void
+badArgs(const std::string &msg)
 {
-    std::va_list args;
-    va_start(args, fmt);
-    char msg[1024];
-    std::vsnprintf(msg, sizeof(msg), fmt, args);
-    va_end(args);
-    std::fprintf(stderr, "fatal: %s\n", msg);
-    std::exit(2);
+    throw std::invalid_argument(msg);
 }
 
-/** The positional workload scale: a finite number in (0, maxScale]. */
-double
-parseScale(const char *arg)
+/** The non-empty path value of `--key=PATH` (@p what names it). */
+const char *
+pathValue(const char *v, const char *what)
 {
-    char *end = nullptr;
-    const double v = std::strtod(arg, &end);
-    if (end == arg || *end != '\0' || !std::isfinite(v) || v <= 0.0 ||
-        v > maxScale)
-        badArgs("bad scale '%s' (expected a number in (0, %g])", arg,
-                maxScale);
+    if (*v == '\0')
+        badArgs(std::string("empty ") + what);
     return v;
 }
 
@@ -64,185 +51,118 @@ parseArgs(int argc, char **argv, double default_scale)
 {
     Options opt;
     opt.scale = default_scale;
+    driver::RunOverrides run;
+    check::CheckOptions chk;
+    std::string trace_events;
     bool scale_seen = false;
-    bool cores_seen = false;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--jobs=", 7) == 0) {
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
             char *end = nullptr;
-            const long v = std::strtol(arg + 7, &end, 10);
-            if (*end != '\0' || v < 1 || v > 1024)
-                badArgs("bad --jobs value '%s'", arg + 7);
-            opt.jobs = static_cast<unsigned>(v);
-        } else if (std::strncmp(arg, "--apps=", 7) == 0) {
-            std::string cur;
-            for (const char *p = arg + 7;; ++p) {
-                if (*p == ',' || *p == '\0') {
-                    if (!cur.empty())
-                        opt.apps.push_back(cur);
-                    cur.clear();
-                    if (*p == '\0')
-                        break;
-                } else {
-                    cur += *p;
+            if (driver::parseRunFlag(arg, run))
+                continue;
+            if (const char *j = flagValue(arg, "--jobs=")) {
+                const long v = std::strtol(j, &end, 10);
+                if (*end != '\0' || v < 1 || v > 1024)
+                    badArgs(sim::strformat("bad --jobs value '%s'", j));
+                opt.jobs = static_cast<unsigned>(v);
+            } else if (const char *list = flagValue(arg, "--apps=")) {
+                std::string cur;
+                for (const char *p = list;; ++p) {
+                    if (*p == ',' || *p == '\0') {
+                        if (!cur.empty())
+                            opt.apps.push_back(cur);
+                        cur.clear();
+                        if (*p == '\0')
+                            break;
+                    } else {
+                        cur += *p;
+                    }
                 }
+                if (opt.apps.empty())
+                    badArgs("empty --apps list");
+            } else if (const char *t = flagValue(arg, "--trace-events=")) {
+                trace_events = pathValue(t, "--trace-events path");
+            } else if (const char *m =
+                           flagValue(arg, "--metrics-interval=")) {
+                const long long v = std::strtoll(m, &end, 10);
+                if (*end != '\0' || v < 0)
+                    badArgs(sim::strformat(
+                        "bad --metrics-interval value '%s'", m));
+                run.metricsInterval = static_cast<sim::Cycle>(v);
+            } else if (arg == "--check" || arg == "--check=basic") {
+                chk.mode = check::CheckMode::Basic;
+            } else if (arg == "--check=deep") {
+                chk.mode = check::CheckMode::Deep;
+            } else if (arg == "--check=off") {
+                chk.mode = check::CheckMode::Off;
+            } else if (const char *c = flagValue(arg, "--check=")) {
+                badArgs(sim::strformat("bad --check mode '%s' (expected "
+                                       "off, basic or deep)",
+                                       c));
+            } else if (const char *n =
+                           flagValue(arg, "--check-interval=")) {
+                const long long v = std::strtoll(n, &end, 10);
+                if (*end != '\0' || v < 1)
+                    badArgs(sim::strformat(
+                        "bad --check-interval value '%s'", n));
+                chk.everyEvents = static_cast<std::uint64_t>(v);
+            } else if (arg == "--audit=on" || arg == "--audit=off") {
+                run.audit = arg == "--audit=on";
+            } else if (flagValue(arg, "--audit")) {
+                badArgs("bad --audit value '" + arg +
+                        "' (expected on or off)");
+            } else if (const char *at = flagValue(arg, "--checkpoint-at=")) {
+                run.checkpointAt = pathValue(at, "--checkpoint-at spec");
+            } else if (const char *to = flagValue(arg, "--checkpoint-to=")) {
+                run.checkpointTo =
+                    pathValue(to, "--checkpoint-to directory");
+            } else if (const char *r = flagValue(arg, "--restore-from=")) {
+                run.restoreFrom = pathValue(r, "--restore-from path");
+            } else if (arg == "--list-workloads") {
+                for (const std::string &w : driver::listWorkloads())
+                    std::printf("%s\n", w.c_str());
+                std::printf("trace:<path>\n");
+                std::exit(0);
+            } else if (!scale_seen && !flagValue(arg, "--")) {
+                opt.scale = driver::parseScale(arg);
+                scale_seen = true;
+            } else {
+                badArgs("unexpected argument '" + arg +
+                        "' (usage: bench "
+                        "[scale] [--jobs=N] [--apps=A,B,...] "
+                        "[--trace-events=PATH] [--metrics-interval=N] "
+                        "[--check[=off|basic|deep]] [--check-interval=N] "
+                        "[--audit=on|off] "
+                        "[--checkpoint-at=SPEC] [--checkpoint-to=DIR] "
+                        "[--restore-from=PATH] [--cores=N] "
+                        "[--ulmt-mode=shared|percore|sharded] "
+                        "[--vm=on|off] [--page-size=4k|2m] "
+                        "[--remap-rate=R] "
+                        "[--table-cache=<entries>[,<assoc>]] "
+                        "[--list-workloads])");
             }
-            if (opt.apps.empty())
-                badArgs("empty --apps list");
-        } else if (std::strncmp(arg, "--trace-events=", 15) == 0) {
-            if (arg[15] == '\0')
-                badArgs("empty --trace-events path");
-            opt.traceEvents = arg + 15;
-        } else if (std::strncmp(arg, "--metrics-interval=", 19) == 0) {
-            char *end = nullptr;
-            const long long v = std::strtoll(arg + 19, &end, 10);
-            if (*end != '\0' || v < 0)
-                badArgs("bad --metrics-interval value '%s'",
-                           arg + 19);
-            opt.metricsInterval = v;
-        } else if (std::strcmp(arg, "--check") == 0 ||
-                   std::strcmp(arg, "--check=basic") == 0) {
-            opt.check.mode = check::CheckMode::Basic;
-        } else if (std::strcmp(arg, "--check=deep") == 0) {
-            opt.check.mode = check::CheckMode::Deep;
-        } else if (std::strcmp(arg, "--check=off") == 0) {
-            opt.check.mode = check::CheckMode::Off;
-        } else if (std::strncmp(arg, "--check=", 8) == 0) {
-            badArgs("bad --check mode '%s' (expected off, basic or deep)",
-                       arg + 8);
-        } else if (std::strncmp(arg, "--check-interval=", 17) == 0) {
-            char *end = nullptr;
-            const long long v = std::strtoll(arg + 17, &end, 10);
-            if (*end != '\0' || v < 1)
-                badArgs("bad --check-interval value '%s'", arg + 17);
-            opt.check.everyEvents = static_cast<std::uint64_t>(v);
-        } else if (std::strcmp(arg, "--audit=on") == 0) {
-            opt.audit = 1;
-        } else if (std::strcmp(arg, "--audit=off") == 0) {
-            opt.audit = 0;
-        } else if (std::strncmp(arg, "--audit", 7) == 0) {
-            badArgs("bad --audit value '%s' (expected on or off)",
-                       arg);
-        } else if (std::strncmp(arg, "--checkpoint-at=", 16) == 0) {
-            if (arg[16] == '\0')
-                badArgs("empty --checkpoint-at spec");
-            opt.checkpointAt = arg + 16;
-        } else if (std::strncmp(arg, "--checkpoint-to=", 16) == 0) {
-            if (arg[16] == '\0')
-                badArgs("empty --checkpoint-to directory");
-            opt.checkpointTo = arg + 16;
-        } else if (std::strncmp(arg, "--restore-from=", 15) == 0) {
-            if (arg[15] == '\0')
-                badArgs("empty --restore-from path");
-            opt.restoreFrom = arg + 15;
-        } else if (std::strcmp(arg, "--vm=on") == 0) {
-            opt.vm.enabled = true;
-            opt.vmSet = true;
-        } else if (std::strcmp(arg, "--vm=off") == 0) {
-            opt.vm.enabled = false;
-            opt.vmSet = true;
-        } else if (std::strncmp(arg, "--vm", 4) == 0 &&
-                   (arg[4] == '\0' || arg[4] == '=')) {
-            badArgs("bad --vm value '%s' (expected on or off)", arg);
-        } else if (std::strncmp(arg, "--page-size=", 12) == 0) {
-            try {
-                opt.vm.pageBytes = vm::parsePageSize(arg + 12);
-            } catch (const std::invalid_argument &e) {
-                badArgs("%s", e.what());
-            }
-            opt.vmSet = true;
-        } else if (std::strncmp(arg, "--remap-rate=", 13) == 0) {
-            char *end = nullptr;
-            const double v = std::strtod(arg + 13, &end);
-            if (*end != '\0' || !(v >= 0.0) || v > 1e6)
-                badArgs("bad --remap-rate value '%s' (remaps per "
-                           "million cycles, >= 0)",
-                           arg + 13);
-            opt.vm.remapRate = v;
-            opt.vmSet = true;
-        } else if (std::strncmp(arg, "--table-cache=", 14) == 0) {
-            // <entries>[,<assoc>]; entries 0 disables the cache.
-            char *end = nullptr;
-            const long e = std::strtol(arg + 14, &end, 10);
-            long a = opt.tableCache.assoc;
-            if (*end == ',')
-                a = std::strtol(end + 1, &end, 10);
-            if (*end != '\0' || e < 0 || e > (1 << 20) || a < 1 ||
-                a > 64 || (e > 0 && e % a != 0))
-                badArgs("bad --table-cache value '%s' (expected "
-                           "<entries>[,<assoc>], entries divisible by "
-                           "assoc, 0 disables)",
-                           arg + 14);
-            opt.tableCache.entries = static_cast<std::uint32_t>(e);
-            opt.tableCache.assoc = static_cast<std::uint32_t>(a);
-            opt.tableCacheSet = true;
-        } else if (std::strncmp(arg, "--cores=", 8) == 0) {
-            char *end = nullptr;
-            const long v = std::strtol(arg + 8, &end, 10);
-            if (*end != '\0' || v < 1 ||
-                v > static_cast<long>(sim::maxCores))
-                badArgs("bad --cores value '%s' (expected 1..%u)",
-                           arg + 8, unsigned(sim::maxCores));
-            opt.cores = static_cast<unsigned>(v);
-            cores_seen = true;
-        } else if (std::strncmp(arg, "--ulmt-mode=", 12) == 0) {
-            opt.ulmtMode = core::parseUlmtMode(arg + 12);
-            cores_seen = true;
-        } else if (std::strcmp(arg, "--list-workloads") == 0) {
-            for (const std::string &w : driver::listWorkloads())
-                std::printf("%s\n", w.c_str());
-            std::printf("trace:<path>\n");
-            std::exit(0);
-        } else if (!scale_seen && std::strncmp(arg, "--", 2) != 0) {
-            opt.scale = parseScale(arg);
-            scale_seen = true;
-        } else {
-            badArgs("unexpected argument '%s' (usage: bench "
-                       "[scale] [--jobs=N] [--apps=A,B,...] "
-                       "[--trace-events=PATH] [--metrics-interval=N] "
-                       "[--check[=off|basic|deep]] [--check-interval=N] "
-                       "[--audit=on|off] "
-                       "[--checkpoint-at=SPEC] [--checkpoint-to=DIR] "
-                       "[--restore-from=PATH] [--cores=N] "
-                       "[--ulmt-mode=shared|percore|sharded] "
-                       "[--vm=on|off] [--page-size=4k|2m] "
-                       "[--remap-rate=R] "
-                       "[--table-cache=<entries>[,<assoc>]] "
-                       "[--list-workloads])",
-                       arg);
         }
+        if (!run.restoreFrom.empty()) {
+            // Validate up front so a bad path or corrupt snapshot
+            // fails before the sweep starts, with a clean diagnostic.
+            try {
+                (void)ckpt::CheckpointImage::readHeader(run.restoreFrom);
+            } catch (const ckpt::CkptError &e) {
+                badArgs(std::string("--restore-from: ") + e.what());
+            }
+        }
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "fatal: %s\n", e.what());
+        std::exit(2);
     }
+    if (chk.enabled())
+        run.check = chk;
     if (opt.jobs)
         driver::setRunnerJobs(opt.jobs);
-    if (!opt.traceEvents.empty())
-        driver::setTraceEventsPath(opt.traceEvents);
-    if (opt.metricsInterval >= 0)
-        driver::setMetricsIntervalOverride(
-            static_cast<sim::Cycle>(opt.metricsInterval));
-    if (opt.check.enabled())
-        driver::setCheckOverride(opt.check);
-    if (opt.audit >= 0)
-        driver::setAuditOverride(opt.audit != 0);
-    if (!opt.checkpointAt.empty())
-        driver::setCheckpointAt(opt.checkpointAt);
-    if (!opt.checkpointTo.empty())
-        driver::setCheckpointTo(opt.checkpointTo);
-    if (cores_seen)
-        driver::setCoresOverride(opt.cores, opt.ulmtMode);
-    if (opt.vmSet)
-        driver::setVmOverride(opt.vm);
-    if (opt.tableCacheSet)
-        driver::setTableCacheOverride(opt.tableCache);
-    if (!opt.restoreFrom.empty()) {
-        // Validate up front so a bad path or corrupt snapshot fails
-        // before the sweep starts, with a clean diagnostic.
-        try {
-            (void)ckpt::CheckpointImage::readHeader(opt.restoreFrom);
-        } catch (const ckpt::CkptError &e) {
-            badArgs("--restore-from: %s", e.what());
-        }
-        driver::setRestoreFrom(opt.restoreFrom);
-    }
+    if (!trace_events.empty())
+        driver::setTraceEventsPath(trace_events);
+    driver::setRunOverrides(run);
     return opt;
 }
 
@@ -255,15 +175,9 @@ Harness::Harness(std::string name, const Options &opt)
 void
 Harness::record(const driver::RunResult &r)
 {
-    const unsigned cores = r.cores ? r.cores : 1u;
-    runs_.push_back(Run{r.workload, r.label, r.source, r.wallSeconds,
-                        r.eventsExecuted, r.cycles, r.ckptSaveSeconds,
-                        r.ckptRestoreSeconds, r.ckptBytes, cores,
-                        r.ulmtMode, r.audit, r.metrics, r.vmOn,
-                        r.vmPageBytes, r.vmRemapRate, r.vmRemaps,
-                        r.vmTlbHits, r.vmTlbMisses, r.vmWalkCycles,
-                        r.vmPagesMapped, r.tcacheOn, r.tcacheEntries,
-                        r.tcacheAssoc, r.tcache});
+    runs_.push_back(r);
+    // No JSON field reads the miss stream; drop the second copy.
+    runs_.back().missStream = std::vector<sim::Addr>();
 }
 
 void
@@ -308,6 +222,16 @@ jsonNumber(double v)
     if (v != v || v == 1.0 / 0.0 || v == -1.0 / 0.0)
         return "null";
     return sim::strformat("%.17g", v);
+}
+
+/** Host throughput of one run (0 when it took no measurable time). */
+std::string
+eventsPerSec(const driver::RunResult &r)
+{
+    return jsonNumber(r.wallSeconds > 0.0
+                          ? static_cast<double>(r.eventsExecuted) /
+                                r.wallSeconds
+                          : 0.0);
 }
 
 /** Series samples need far less precision than headline metrics. */
@@ -504,7 +428,7 @@ Harness::writeJson() const
 
     out += "  \"runs\": [";
     for (std::size_t i = 0; i < runs_.size(); ++i) {
-        const Run &r = runs_[i];
+        const driver::RunResult &r = runs_[i];
         out += i ? ",\n    " : "\n    ";
         out += "{\"workload\": ";
         appendEscaped(out, r.workload);
@@ -514,18 +438,14 @@ Harness::writeJson() const
         appendEscaped(out, r.source);
         out += ", \"wall_seconds\": " + jsonNumber(r.wallSeconds);
         out += sim::strformat(", \"events\": %llu",
-                              (unsigned long long)r.events);
-        out += ", \"events_per_sec\": " +
-               jsonNumber(r.wallSeconds > 0.0
-                              ? static_cast<double>(r.events) /
-                                    r.wallSeconds
-                              : 0.0);
+                              (unsigned long long)r.eventsExecuted);
+        out += ", \"events_per_sec\": " + eventsPerSec(r);
         out += sim::strformat(", \"sim_cycles\": %llu",
-                              (unsigned long long)r.simCycles);
+                              (unsigned long long)r.cycles);
         // Core count only on multicore runs, so single-core benches
         // keep the established schema byte-for-byte.
         if (r.cores > 1)
-            out += sim::strformat(", \"cores\": %u", r.cores);
+            out += sim::strformat(", \"cores\": %u", std::max(r.cores, 1u));
         // Checkpoint costs only when the run actually checkpointed,
         // so runs without one keep the established schema.
         if (r.ckptSaveSeconds > 0.0 || r.ckptRestoreSeconds > 0.0 ||
@@ -592,14 +512,14 @@ Harness::writeJson() const
     // Per-run sampled time series (runs with sampling off are
     // skipped).
     bool any_series = false;
-    for (const Run &r : runs_)
+    for (const driver::RunResult &r : runs_)
         any_series = any_series || !r.metrics.empty();
     if (any_series) {
         out += first_metric ? "\n    " : ",\n    ";
         first_metric = false;
         out += "\"series\": [";
         bool first_run = true;
-        for (const Run &r : runs_) {
+        for (const driver::RunResult &r : runs_) {
             if (r.metrics.empty())
                 continue;
             out += first_run ? "\n      " : ",\n      ";
@@ -674,8 +594,8 @@ Harness::writeThroughputJson() const
     out += provenanceJson();
     out += "  \"throughput\": [";
     for (std::size_t i = 0; i < runs_.size(); ++i) {
-        const Run &r = runs_[i];
-        total_events += r.events;
+        const driver::RunResult &r = runs_[i];
+        total_events += r.eventsExecuted;
         total_wall += r.wallSeconds;
         out += i ? ",\n    " : "\n    ";
         out += "{\"workload\": ";
@@ -685,17 +605,13 @@ Harness::writeThroughputJson() const
         // Self-identifying rows: a throughput archive mixes many bench
         // invocations, so each row carries its machine shape.
         out += ", \"scale\": " + jsonNumber(opt_.scale);
-        out += sim::strformat(", \"cores\": %u", r.cores);
+        out += sim::strformat(", \"cores\": %u", std::max(r.cores, 1u));
         out += ", \"ulmt_mode\": ";
         appendEscaped(out, r.ulmtMode.empty() ? "shared" : r.ulmtMode);
         out += sim::strformat(", \"events\": %llu",
-                              (unsigned long long)r.events);
+                              (unsigned long long)r.eventsExecuted);
         out += ", \"wall_seconds\": " + jsonNumber(r.wallSeconds);
-        out += ", \"events_per_sec\": " +
-               jsonNumber(r.wallSeconds > 0.0
-                              ? static_cast<double>(r.events) /
-                                    r.wallSeconds
-                              : 0.0);
+        out += ", \"events_per_sec\": " + eventsPerSec(r);
         out += "}";
     }
     out += runs_.empty() ? "],\n" : "\n  ],\n";

@@ -40,7 +40,6 @@
 #define BENCH_HARNESS_HH
 
 #include <chrono>
-#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,12 +49,9 @@
 namespace bench {
 
 /**
- * Common bench CLI: `bench [scale] [--jobs=N] [--apps=A,B,...]
- * [--trace-events=PATH] [--metrics-interval=N]
- * [--check[=off|basic|deep]] [--check-interval=N] [--audit=on|off]
- * [--checkpoint-at=SPEC] [--checkpoint-to=DIR] [--restore-from=PATH]
- * [--vm=on|off] [--page-size=4k|2m] [--remap-rate=R]
- * [--table-cache=<entries>[,<assoc>]] [--list-workloads]`.
+ * What the benches read of the common CLI.  Every other flag goes
+ * straight to the driver (driver::RunOverrides, the trace writer, the
+ * runner's worker count).
  */
 struct Options
 {
@@ -64,49 +60,23 @@ struct Options
     /** Workload list override (names or trace:<path>); empty = the
      *  bench's default set (usually the nine paper applications). */
     std::vector<std::string> apps;
-    /** Chrome trace-event output path; empty = tracing off. */
-    std::string traceEvents;
-    /** Sampling-interval override in cycles (-1 = config default,
-     *  0 = sampling off). */
-    long long metricsInterval = -1;
-    /** Runtime invariant checking for every run (DESIGN.md sect. 10):
-     *  `--check`/`--check=basic` walks structural invariants,
-     *  `--check=deep` adds the lockstep reference models.  Off by
-     *  default; never perturbs simulated timing. */
-    check::CheckOptions check;
-    /** Checkpoint trigger spec ("<N>" misses or "<N>c"); empty = off. */
-    std::string checkpointAt;
-    /** Directory for triggered snapshots (empty = "."). */
-    std::string checkpointTo;
-    /** Restore every run from this snapshot; empty = off. */
-    std::string restoreFrom;
-    /** Lifecycle auditing for every run (`--audit=on|off`; the
-     *  SystemConfig default -- on -- when unset).  Passive. */
-    int audit = -1;
-    /** Main processors per simulated machine (`--cores=N`). */
-    unsigned cores = 1;
-    /** ULMT serving mode (`--ulmt-mode=shared|percore|sharded`). */
-    core::UlmtMode ulmtMode = core::UlmtMode::Shared;
-    /** VM layer for every run (`--vm=on|off`, `--page-size=4k|2m`,
-     *  `--remap-rate=R` remaps/Mcycle).  The defaults describe the
-     *  pre-VM machine: vm.on() false, nothing built. */
-    vm::VmSpec vm;
-    /** True when any of the VM flags was given. */
-    bool vmSet = false;
-    /** Memory-side table cache for every run
-     *  (`--table-cache=<entries>[,<assoc>]`; 0 -- the default --
-     *  keeps the pre-MSCache table path, bit-identical). */
-    mem::TableCacheSpec tableCache;
-    /** True when --table-cache was given. */
-    bool tableCacheSet = false;
 
     /** The bench's workload list: the override, or the nine apps. */
     const std::vector<std::string> &appList() const;
 };
 
 /**
- * Parse the common CLI.  A bare positional argument is the workload
- * scale, a finite number in (0, 64]; `--jobs=N` overrides the worker count for this process (it
+ * Parse the common CLI: `bench [scale] [--jobs=N] [--apps=A,B,...]
+ * [--trace-events=PATH] [--metrics-interval=N]
+ * [--check[=off|basic|deep]] [--check-interval=N] [--audit=on|off]
+ * [--checkpoint-at=SPEC] [--checkpoint-to=DIR] [--restore-from=PATH]
+ * [--list-workloads]` plus the machine-shape flags shared with
+ * `ulmt-ckpt create` and `ulmt-stats dump` (driver::parseRunFlag:
+ * `--cores`, `--ulmt-mode`, `--vm`, `--page-size`, `--remap-rate`,
+ * `--table-cache`), which apply to every run of the bench.
+ *
+ * A bare positional argument is the workload scale, a finite number in
+ * (0, 64]; `--jobs=N` overrides the worker count for this process (it
  * takes precedence over ULMT_JOBS); `--apps=A,B,...` replaces the
  * default workload set with any mix of application names and
  * `trace:<path>` corpora; `--trace-events=PATH` streams Chrome trace
@@ -114,26 +84,16 @@ struct Options
  * the time-series sampling interval (0 disables sampling);
  * `--check` (or `--check=basic`) runs the invariant checker on every
  * run, `--check=deep` additionally diffs the lockstep reference
- * models, `--check=off` keeps the default (no checker), and `--check-interval=N` sets the cadence in executed
- * events (default 2048);
- * `--audit=on|off` forces the (passive, on-by-default) prefetch
- * lifecycle auditor for every run;
- * `--checkpoint-at=SPEC` snapshots every run after SPEC ("<N>" demand
- * L2 misses, "<N>c" at cycle N) into `--checkpoint-to=DIR`;
- * `--restore-from=PATH` resumes every run from a snapshot;
- * `--cores=N` runs every configuration on an N-core machine and
- * `--ulmt-mode=shared|percore|sharded` picks how its memory-side
- * service is shared among the cores;
- * `--vm=on` forces address translation on for every run,
- * `--page-size=4k|2m` picks the page size and `--remap-rate=R` sets
- * the page-migration churn in remaps per million cycles (any VM flag
- * that leaves the spec non-default builds the VM layer);
- * `--table-cache=<entries>[,<assoc>]` puts an SRAM cache of that
- * geometry in front of the correlation table's DRAM traffic (0
- * disables it, the default);
- * `--list-workloads` prints the registered workload names and exits.
- * A bad command line prints a `fatal:` message naming the bad input
- * and exits with status 2, before any simulation runs.
+ * models, `--check=off` keeps the default (no checker), and
+ * `--check-interval=N` sets the cadence in executed events (default
+ * 2048); `--audit=on|off` forces the (passive, on-by-default) prefetch
+ * lifecycle auditor for every run; `--checkpoint-at=SPEC` snapshots
+ * every run after SPEC ("<N>" demand L2 misses, "<N>c" at cycle N)
+ * into `--checkpoint-to=DIR`; `--restore-from=PATH` resumes every run
+ * from a snapshot; `--list-workloads` prints the registered workload
+ * names and exits.  A bad command line prints a `fatal:` message
+ * naming the bad input and exits with status 2, before any simulation
+ * runs.
  */
 Options parseArgs(int argc, char **argv, double default_scale);
 
@@ -163,43 +123,12 @@ class Harness
     std::string writeJson() const;
 
   private:
-    struct Run
-    {
-        std::string workload;
-        std::string label;
-        std::string source;
-        double wallSeconds;
-        std::uint64_t events;
-        std::uint64_t simCycles;
-        double ckptSaveSeconds;
-        double ckptRestoreSeconds;
-        std::uint64_t ckptBytes;
-        unsigned cores;
-        std::string ulmtMode;
-        mem::AuditReport audit;
-        sim::TimeSeriesData metrics;
-        // VM fields (all zero / false when the layer was off).
-        bool vmOn;
-        std::uint32_t vmPageBytes;
-        double vmRemapRate;
-        std::uint64_t vmRemaps;
-        std::uint64_t vmTlbHits;
-        std::uint64_t vmTlbMisses;
-        std::uint64_t vmWalkCycles;
-        std::uint64_t vmPagesMapped;
-        // Table-cache fields (all zero / false when --table-cache=0).
-        bool tcacheOn;
-        std::uint32_t tcacheEntries;
-        std::uint32_t tcacheAssoc;
-        mem::TableCacheStats tcache;
-    };
-
     void writeThroughputJson() const;
 
     std::string name_;
     Options opt_;
     std::chrono::steady_clock::time_point start_;
-    std::vector<Run> runs_;
+    std::vector<driver::RunResult> runs_;
     std::vector<std::pair<std::string, double>> metrics_;
 };
 

@@ -13,7 +13,7 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "driver/experiment.hh"
@@ -66,10 +66,17 @@ main(int argc, char **argv)
     const std::string app = argc > 1 ? argv[1] : "Mcf";
     const std::string config = argc > 2 ? argv[2] : "Repl";
     driver::ExperimentOptions opt;
-    opt.scale = argc > 3 ? std::atof(argv[3]) : 0.25;
-
-    driver::SystemConfig cfg = parseConfig(config, app, opt);
-    const driver::RunResult r = driver::runOne(app, cfg, opt);
+    opt.scale = 0.25;
+    driver::RunResult r;
+    try {
+        if (argc > 3)
+            opt.scale = driver::parseScale(argv[3]);
+        const driver::SystemConfig cfg = parseConfig(config, app, opt);
+        r = driver::runOne(app, cfg, opt);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "inspect: %s\n", e.what());
+        return 2;
+    }
 
     std::printf("== %s / %s (scale %.2f) ==\n", app.c_str(),
                 r.label.c_str(), opt.scale);

@@ -1,5 +1,7 @@
 #include "core/factory.hh"
 
+#include <stdexcept>
+
 #include "core/adaptive.hh"
 #include "core/conflict_aware.hh"
 #include "core/base_chain.hh"
@@ -7,7 +9,6 @@
 #include "core/profiler.hh"
 #include "core/replicated.hh"
 #include "core/seq_prefetcher.hh"
-#include "sim/logging.hh"
 
 namespace core {
 
@@ -54,7 +55,7 @@ parseUlmtAlgo(const std::string &name)
         if (to_string(a) == name)
             return a;
     }
-    sim::fatal("unknown ULMT algorithm '%s'", name.c_str());
+    throw std::invalid_argument("unknown ULMT algorithm '" + name + "'");
 }
 
 std::string
@@ -79,9 +80,9 @@ parseUlmtMode(const std::string &name)
         if (to_string(m) == name)
             return m;
     }
-    sim::fatal("unknown ULMT serving mode '%s' (expected shared, "
-               "percore or sharded)",
-               name.c_str());
+    throw std::invalid_argument("unknown ULMT serving mode '" + name +
+                                "' (expected shared, percore or "
+                                "sharded)");
 }
 
 namespace {

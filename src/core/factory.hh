@@ -35,7 +35,8 @@ enum class UlmtAlgo {
 /** Printable algorithm name. */
 std::string to_string(UlmtAlgo algo);
 
-/** Parse an algorithm name ("Base", "Repl", "Seq4+Repl", ...). */
+/** Parse an algorithm name ("Base", "Repl", "Seq4+Repl", ...).
+ *  @throws std::invalid_argument naming @p name when it is unknown. */
 UlmtAlgo parseUlmtAlgo(const std::string &name);
 
 /**
@@ -51,7 +52,8 @@ enum class UlmtMode : std::uint8_t {
 /** Printable mode name ("shared", "percore", "sharded"). */
 std::string to_string(UlmtMode mode);
 
-/** Parse a serving-mode name. */
+/** Parse a serving-mode name.
+ *  @throws std::invalid_argument naming @p name when it is unknown. */
 UlmtMode parseUlmtMode(const std::string &name);
 
 /** Full specification of a ULMT (algorithm + table geometry + mode). */

@@ -1,10 +1,14 @@
 #include "driver/experiment.hh"
 
+#include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <mutex>
-#include <optional>
+#include <stdexcept>
 #include <utility>
 
+#include "sim/logging.hh"
 #include "workloads/offset.hh"
 
 namespace driver {
@@ -19,21 +23,18 @@ baseConfig(const ExperimentOptions &opt)
     return cfg;
 }
 
-// Shared trace writer + sampling override.  Guarded by a mutex only
-// for pointer swaps; writeProcess serializes internally.
+// Shared trace writer and run overrides.  Guarded by a mutex only for
+// swaps; writeProcess serializes internally.
 std::mutex obsMutex;
 std::unique_ptr<sim::TraceEventWriter> traceWriter;
-std::optional<sim::Cycle> metricsOverride;
-std::optional<check::CheckOptions> checkOverride;
-std::optional<bool> auditOverride;
-std::optional<std::pair<unsigned, core::UlmtMode>> coresOverride;
-std::optional<vm::VmSpec> vmOverride;
-std::optional<mem::TableCacheSpec> tableCacheOverride;
+RunOverrides overrides;
 
-// Process-wide checkpoint hooks (same pattern as the trace writer).
-std::string ckptAtSpec;
-std::string ckptToDir;
-std::string restoreFromPath;
+RunOverrides
+currentOverrides()
+{
+    std::lock_guard<std::mutex> lock(obsMutex);
+    return overrides;
+}
 
 /** Per-run snapshot file name: path-hostile characters in app names
  *  ("trace:/x/y.ulmttrace") and labels become underscores. */
@@ -75,87 +76,107 @@ finishTraceEvents()
 }
 
 void
-setMetricsIntervalOverride(sim::Cycle interval)
+RunOverrides::applyTo(SystemConfig &cfg) const
 {
-    std::lock_guard<std::mutex> lock(obsMutex);
-    metricsOverride = interval;
+    const auto set = [](auto &field, const auto &value) {
+        if (value)
+            field = *value;
+    };
+    set(cfg.cores, cores);
+    set(cfg.ulmtMode, ulmtMode);
+    set(cfg.vm, vm);
+    set(cfg.tableCache, tableCache);
+    set(cfg.check, check);
+    set(cfg.audit, audit);
+    set(cfg.metricsInterval, metricsInterval);
 }
 
 void
-clearMetricsIntervalOverride()
+setRunOverrides(const RunOverrides &o)
 {
     std::lock_guard<std::mutex> lock(obsMutex);
-    metricsOverride.reset();
+    overrides = o;
 }
 
-void
-setCheckOverride(const check::CheckOptions &opts)
+const char *
+flagValue(const std::string &arg, const char *key)
 {
-    std::lock_guard<std::mutex> lock(obsMutex);
-    checkOverride = opts;
+    const std::size_t n = std::strlen(key);
+    return arg.compare(0, n, key) == 0 ? arg.c_str() + n : nullptr;
 }
 
-void
-clearCheckOverride()
+bool
+parseRunFlag(const std::string &arg, RunOverrides &o)
 {
-    std::lock_guard<std::mutex> lock(obsMutex);
-    checkOverride.reset();
+    const auto vm_spec = [&o]() -> vm::VmSpec & {
+        if (!o.vm)
+            o.vm.emplace();
+        return *o.vm;
+    };
+    char *end = nullptr;
+    if (const char *v = flagValue(arg, "--cores=")) {
+        const long n = std::strtol(v, &end, 10);
+        if (end == v || *end != '\0' || n < 1 ||
+            n > static_cast<long>(sim::maxCores))
+            throw std::invalid_argument(
+                sim::strformat("bad --cores value '%s' (expected 1..%u)", v,
+                               unsigned(sim::maxCores)));
+        o.cores = static_cast<unsigned>(n);
+    } else if (const char *m = flagValue(arg, "--ulmt-mode=")) {
+        o.ulmtMode = core::parseUlmtMode(m);
+    } else if (arg == "--vm=on" || arg == "--vm=off") {
+        vm_spec().enabled = arg == "--vm=on";
+    } else if (arg == "--vm" || flagValue(arg, "--vm=")) {
+        throw std::invalid_argument("bad --vm value '" + arg +
+                                    "' (expected on or off)");
+    } else if (const char *p = flagValue(arg, "--page-size=")) {
+        vm_spec().pageBytes = vm::parsePageSize(p);
+    } else if (const char *r = flagValue(arg, "--remap-rate=")) {
+        const double rate = std::strtod(r, &end);
+        if (end == r || *end != '\0' || !(rate >= 0.0) || rate > 1e6)
+            throw std::invalid_argument(
+                sim::strformat("bad --remap-rate value '%s' (remaps per "
+                               "million cycles, >= 0)",
+                               r));
+        vm_spec().remapRate = rate;
+    } else if (const char *t = flagValue(arg, "--table-cache=")) {
+        // <entries>[,<assoc>]; entries 0 disables the cache.
+        mem::TableCacheSpec tc =
+            o.tableCache.value_or(mem::TableCacheSpec{});
+        const long e = std::strtol(t, &end, 10);
+        const bool no_entries = end == t;
+        long a = tc.assoc;
+        if (*end == ',')
+            a = std::strtol(end + 1, &end, 10);
+        if (no_entries || *end != '\0' || e < 0 || e > (1 << 20) ||
+            a < 1 || a > 64 || (e > 0 && e % a != 0))
+            throw std::invalid_argument(
+                sim::strformat("bad --table-cache value '%s' (expected "
+                               "<entries>[,<assoc>], entries divisible by "
+                               "assoc, 0 disables)",
+                               t));
+        tc.entries = static_cast<std::uint32_t>(e);
+        tc.assoc = static_cast<std::uint32_t>(a);
+        o.tableCache = tc;
+    } else {
+        return false;
+    }
+    return true;
 }
 
-void
-setAuditOverride(bool enabled)
+double
+parseScale(const std::string &s)
 {
-    std::lock_guard<std::mutex> lock(obsMutex);
-    auditOverride = enabled;
-}
-
-void
-clearAuditOverride()
-{
-    std::lock_guard<std::mutex> lock(obsMutex);
-    auditOverride.reset();
-}
-
-void
-setCoresOverride(unsigned cores, core::UlmtMode mode)
-{
-    std::lock_guard<std::mutex> lock(obsMutex);
-    coresOverride = {cores, mode};
-}
-
-void
-clearCoresOverride()
-{
-    std::lock_guard<std::mutex> lock(obsMutex);
-    coresOverride.reset();
-}
-
-void
-setVmOverride(const vm::VmSpec &spec)
-{
-    std::lock_guard<std::mutex> lock(obsMutex);
-    vmOverride = spec;
-}
-
-void
-clearVmOverride()
-{
-    std::lock_guard<std::mutex> lock(obsMutex);
-    vmOverride.reset();
-}
-
-void
-setTableCacheOverride(const mem::TableCacheSpec &spec)
-{
-    std::lock_guard<std::mutex> lock(obsMutex);
-    tableCacheOverride = spec;
-}
-
-void
-clearTableCacheOverride()
-{
-    std::lock_guard<std::mutex> lock(obsMutex);
-    tableCacheOverride.reset();
+    // 64x the evaluation size is far beyond any sweep in this repo.
+    constexpr double max_scale = 64.0;
+    char *end = nullptr;
+    const double v = std::strtod(s.c_str(), &end);
+    if (end == s.c_str() || *end != '\0' || !std::isfinite(v) ||
+        v <= 0.0 || v > max_scale)
+        throw std::invalid_argument(
+            sim::strformat("bad scale '%s' (expected a number in (0, %g])",
+                           s.c_str(), max_scale));
+    return v;
 }
 
 std::vector<std::unique_ptr<workloads::Workload>>
@@ -248,27 +269,6 @@ customConfig(const ExperimentOptions &opt, const std::string &app,
     return cfg;
 }
 
-void
-setCheckpointAt(const std::string &spec)
-{
-    std::lock_guard<std::mutex> lock(obsMutex);
-    ckptAtSpec = spec;
-}
-
-void
-setCheckpointTo(const std::string &dir)
-{
-    std::lock_guard<std::mutex> lock(obsMutex);
-    ckptToDir = dir;
-}
-
-void
-setRestoreFrom(const std::string &path)
-{
-    std::lock_guard<std::mutex> lock(obsMutex);
-    restoreFromPath = path;
-}
-
 const std::vector<std::string> &
 listWorkloads()
 {
@@ -317,19 +317,7 @@ runSampled(const SystemConfig &cfg, const std::string &ckpt_path)
     const ckpt::CkptHeader h = ckpt::CheckpointImage::readHeader(ckpt_path);
 
     SystemConfig effective = cfg;
-    {
-        std::lock_guard<std::mutex> lock(obsMutex);
-        if (metricsOverride)
-            effective.metricsInterval = *metricsOverride;
-        if (checkOverride)
-            effective.check = *checkOverride;
-        if (auditOverride)
-            effective.audit = *auditOverride;
-        if (vmOverride)
-            effective.vm = *vmOverride;
-        if (tableCacheOverride)
-            effective.tableCache = *tableCacheOverride;
-    }
+    currentOverrides().applyTo(effective);
     effective.cores = h.cores;
     if (h.ulmtMode >
         static_cast<std::uint32_t>(core::UlmtMode::Sharded)) {
@@ -348,39 +336,21 @@ RunResult
 runOne(const std::string &app, const SystemConfig &cfg,
        const ExperimentOptions &opt)
 {
+    const RunOverrides o = currentOverrides();
+    sim::TraceEventWriter *writer = traceEventWriter();
     SystemConfig effective = cfg;
-    sim::TraceEventWriter *writer = nullptr;
-    std::string ckpt_at, ckpt_dir, restore_from;
-    {
-        std::lock_guard<std::mutex> lock(obsMutex);
-        if (metricsOverride)
-            effective.metricsInterval = *metricsOverride;
-        if (checkOverride)
-            effective.check = *checkOverride;
-        if (auditOverride)
-            effective.audit = *auditOverride;
-        if (coresOverride) {
-            effective.cores = coresOverride->first;
-            effective.ulmtMode = coresOverride->second;
-        }
-        if (vmOverride)
-            effective.vm = *vmOverride;
-        if (tableCacheOverride)
-            effective.tableCache = *tableCacheOverride;
-        writer = traceWriter.get();
-        ckpt_at = ckptAtSpec;
-        ckpt_dir = ckptToDir;
-        restore_from = restoreFromPath;
-    }
+    o.applyTo(effective);
 
     BuiltSystem b = buildSystem(effective, app, opt.seed, opt.scale);
     System &sys = *b.sys;
-    if (!restore_from.empty())
-        sys.restoreCheckpoint(restore_from);
-    if (!ckpt_at.empty()) {
-        const std::string dir = ckpt_dir.empty() ? "." : ckpt_dir;
-        sys.setCheckpointTrigger(
-            ckpt_at, dir + "/" + snapshotName(app, effective.label));
+    if (!o.restoreFrom.empty())
+        sys.restoreCheckpoint(o.restoreFrom);
+    if (!o.checkpointAt.empty()) {
+        const std::string dir =
+            o.checkpointTo.empty() ? "." : o.checkpointTo;
+        sys.setCheckpointTrigger(o.checkpointAt,
+                                 dir + "/" +
+                                     snapshotName(app, effective.label));
     }
     if (!writer)
         return sys.run();

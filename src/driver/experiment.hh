@@ -7,6 +7,7 @@
 #ifndef DRIVER_EXPERIMENT_HH
 #define DRIVER_EXPERIMENT_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,13 +55,71 @@ SystemConfig customConfig(const ExperimentOptions &opt,
 RunResult runOne(const std::string &app, const SystemConfig &cfg,
                  const ExperimentOptions &opt);
 
-// --- Process-wide observability hooks --------------------------------
+// --- Process-wide run overrides and hooks ---------------------------
 //
-// Every experiment funnel (runOne) honours these, so enabling the
-// trace-event file or overriding the sampling interval covers an
-// entire sweep -- including runs dispatched through the parallel
-// runner, each of which lands in the shared file as its own trace
-// process.
+// Every experiment funnel (runOne, and runSampled for the config
+// fields) honours these, so one command-line flag covers an entire
+// sweep -- including runs dispatched through the parallel runner, each
+// of which lands in the shared trace file as its own trace process.
+
+/**
+ * The SystemConfig fields a command line may override for every run,
+ * one optional each (unset keeps each config's own value), plus the
+ * checkpoint hooks of runOne.  The bench harness, `ulmt-ckpt create`
+ * and `ulmt-stats dump` all fill one through parseRunFlag.
+ */
+struct RunOverrides
+{
+    std::optional<unsigned> cores;               //!< --cores=N
+    std::optional<core::UlmtMode> ulmtMode;      //!< --ulmt-mode=
+    /** --vm, --page-size, --remap-rate: any of them sets the whole
+     *  spec, starting from the default (VM off). */
+    std::optional<vm::VmSpec> vm;
+    std::optional<mem::TableCacheSpec> tableCache;  //!< --table-cache=
+    /** Passive observers: results are bit-identical whatever they
+     *  hold (bench flags --check, --audit, --metrics-interval). */
+    std::optional<check::CheckOptions> check;
+    std::optional<bool> audit;
+    std::optional<sim::Cycle> metricsInterval;
+
+    /** One-shot checkpoint trigger of every runOne: "<N>" demand L2
+     *  misses or "<N>c" at cycle N; empty = off.  Each run writes
+     *  `<checkpointTo or .>/<app>-<label>.ulmtckp`. */
+    std::string checkpointAt;
+    std::string checkpointTo;
+    /** Restore every runOne from this snapshot before running (empty =
+     *  off).  The snapshot's configuration fingerprint must match the
+     *  run's config, so this is for single-config invocations. */
+    std::string restoreFrom;
+
+    /** Copy every set config field into @p cfg. */
+    void applyTo(SystemConfig &cfg) const;
+};
+
+/** Use @p o for all subsequent runOne / runSampled calls. */
+void setRunOverrides(const RunOverrides &o);
+
+/**
+ * Parse @p arg into @p o when it is one of the shared machine-shape
+ * flags: `--cores=N` (1..sim::maxCores),
+ * `--ulmt-mode=shared|percore|sharded`, `--vm=on|off`,
+ * `--page-size=4k|2m`, `--remap-rate=R` (remaps per million cycles,
+ * 0..1e6) or `--table-cache=<entries>[,<assoc>]` (0 entries disables).
+ * @return false when @p arg is none of them.
+ * @throws std::invalid_argument naming the input when the value is bad.
+ */
+bool parseRunFlag(const std::string &arg, RunOverrides &o);
+
+/** The value of @p arg after @p key ("--scale="), or nullptr when
+ *  @p arg does not start with @p key. */
+const char *flagValue(const std::string &arg, const char *key);
+
+/**
+ * A workload scale: a finite number in (0, 64], 64 being 64x the
+ * evaluation size.
+ * @throws std::invalid_argument naming the input otherwise.
+ */
+double parseScale(const std::string &s);
 
 /**
  * Start writing Chrome trace events from all subsequent runs to
@@ -76,71 +135,6 @@ sim::TraceEventWriter *traceEventWriter();
 void finishTraceEvents();
 
 /**
- * Override SystemConfig::metricsInterval for all subsequent runOne
- * calls (0 disables sampling); pass through without calling to keep
- * each config's own value.
- */
-void setMetricsIntervalOverride(sim::Cycle interval);
-
-/** Drop the metrics-interval override. */
-void clearMetricsIntervalOverride();
-
-/**
- * Override SystemConfig::check for all subsequent runOne / runSampled
- * calls (the bench harness's `--check` flags).  Checking is passive,
- * so results are bit-identical with it on or off.
- */
-void setCheckOverride(const check::CheckOptions &opts);
-
-/** Drop the check override. */
-void clearCheckOverride();
-
-/**
- * Override SystemConfig::audit for all subsequent runOne / runSampled
- * calls (the bench harness's `--audit=on|off` flag).  Auditing is
- * passive, so fingerprints and cycle counts are bit-identical with it
- * on or off.
- */
-void setAuditOverride(bool enabled);
-
-/** Drop the audit override. */
-void clearAuditOverride();
-
-/**
- * Override SystemConfig::cores / ulmtMode for all subsequent runOne
- * calls (the bench harness's `--cores` / `--ulmt-mode` flags), so an
- * entire sweep of single-core configurations runs on a multicore
- * machine without touching each config.
- */
-void setCoresOverride(unsigned cores, core::UlmtMode mode);
-
-/** Drop the cores override. */
-void clearCoresOverride();
-
-/**
- * Override SystemConfig::vm for all subsequent runOne / runSampled
- * calls (the bench harness's `--vm` / `--page-size` / `--remap-rate`
- * flags).  Unlike the passive observability overrides, the VM layer
- * shapes simulated behaviour, so only runs that opt in share a
- * fingerprint.
- */
-void setVmOverride(const vm::VmSpec &spec);
-
-/** Drop the VM override. */
-void clearVmOverride();
-
-/**
- * Override SystemConfig::tableCache for all subsequent runOne /
- * runSampled calls (the bench harness's `--table-cache` flag).  Like
- * the VM layer it shapes simulated behaviour, so only runs that opt
- * in share a fingerprint.
- */
-void setTableCacheOverride(const mem::TableCacheSpec &spec);
-
-/** Drop the table-cache override. */
-void clearTableCacheOverride();
-
-/**
  * The per-core workload set of a multicore run: core 0 replays the
  * exact single-core trace of (@p app, @p seed, @p scale); every other
  * core runs an independently seeded instance of the same kernel,
@@ -150,30 +144,12 @@ std::vector<std::unique_ptr<workloads::Workload>>
 makeCoreWorkloads(const std::string &app, std::uint64_t seed,
                   double scale, unsigned cores);
 
-// --- Checkpointing ---------------------------------------------------
-
-/**
- * Arm a one-shot checkpoint in all subsequent runOne calls: @p spec is
- * "<N>" (after N demand L2 misses) or "<N>c" (at cycle N); empty
- * disarms.  Each run writes `<dir>/<app>-<label>.ulmtckp` where dir is
- * set by setCheckpointTo (default ".").
- */
-void setCheckpointAt(const std::string &spec);
-
-/** Directory for triggered snapshots (empty = current directory). */
-void setCheckpointTo(const std::string &dir);
-
-/**
- * Restore every subsequent runOne call from @p path before running
- * (empty disarms).  The checkpoint's configuration fingerprint must
- * match the run's config, so this is for single-config invocations.
- */
-void setRestoreFrom(const std::string &path);
-
 /**
  * The sampled-run mode (warmup + measure): rebuild the workload from
  * the checkpoint's own header (app key, seed, scale), restore the
- * snapshot and run the remainder.  The result carries full-run
+ * snapshot and run the remainder.  The machine shape (cores, ULMT
+ * mode) comes from the header; the other RunOverrides fields apply as
+ * in runOne, the checkpoint hooks do not.  The result carries full-run
  * cumulative statistics, bit-identical to an uninterrupted run of the
  * same configuration -- the warmup simulation is simply skipped.
  */

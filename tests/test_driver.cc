@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/factory.hh"
 #include "core/profiler.hh"
 #include "driver/experiment.hh"
@@ -33,6 +36,94 @@ TEST(Factory, NamesRoundTrip)
     core::UlmtSpec none;
     none.algo = core::UlmtAlgo::None;
     EXPECT_EQ(core::makeAlgorithm(none), nullptr);
+}
+
+TEST(Factory, UnknownNamesThrowNamingTheInput)
+{
+    EXPECT_EQ(core::parseUlmtMode("percore"), core::UlmtMode::PerCore);
+    EXPECT_THROW(core::parseUlmtAlgo("Bogus"), std::invalid_argument);
+    EXPECT_THROW(core::parseUlmtAlgo(""), std::invalid_argument);
+    EXPECT_THROW(core::parseUlmtMode("bogus"), std::invalid_argument);
+    EXPECT_THROW(core::parseUlmtMode("Shared"), std::invalid_argument);
+    try {
+        core::parseUlmtMode("bogus");
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("'bogus'"),
+                  std::string::npos);
+    }
+}
+
+TEST(RunFlags, ParseEveryMachineShapeFlag)
+{
+    driver::RunOverrides o;
+    for (const char *arg :
+         {"--cores=4", "--ulmt-mode=sharded", "--vm=on",
+          "--page-size=2m", "--remap-rate=100", "--table-cache=4096,8"})
+        EXPECT_TRUE(driver::parseRunFlag(arg, o)) << arg;
+    EXPECT_FALSE(driver::parseRunFlag("--scale=1", o));
+    EXPECT_FALSE(driver::parseRunFlag("--check=basic", o));
+
+    driver::SystemConfig cfg;
+    o.applyTo(cfg);
+    EXPECT_EQ(cfg.cores, 4u);
+    EXPECT_EQ(cfg.ulmtMode, core::UlmtMode::Sharded);
+    EXPECT_TRUE(cfg.vm.enabled);
+    EXPECT_EQ(cfg.vm.pageBytes, 2u << 20);
+    EXPECT_EQ(cfg.vm.remapRate, 100.0);
+    EXPECT_EQ(cfg.tableCache.entries, 4096u);
+    EXPECT_EQ(cfg.tableCache.assoc, 8u);
+}
+
+TEST(RunFlags, UnsetFieldsKeepTheConfig)
+{
+    driver::SystemConfig cfg;
+    cfg.cores = 2;
+    cfg.ulmtMode = core::UlmtMode::PerCore;
+    cfg.metricsInterval = 77;
+    cfg.audit = false;
+    driver::RunOverrides o;
+    ASSERT_TRUE(driver::parseRunFlag("--page-size=4k", o));
+    o.applyTo(cfg);
+    EXPECT_EQ(cfg.cores, 2u);
+    EXPECT_EQ(cfg.ulmtMode, core::UlmtMode::PerCore);
+    EXPECT_EQ(cfg.metricsInterval, 77u);
+    EXPECT_FALSE(cfg.audit);
+    // A VM flag sets the whole spec from the default.
+    EXPECT_FALSE(cfg.vm.enabled);
+    EXPECT_EQ(cfg.vm.remapRate, 0.0);
+}
+
+TEST(RunFlags, BadValuesThrowNamingTheInput)
+{
+    for (const char *arg :
+         {"--cores=abc", "--cores=0", "--cores=65", "--cores=",
+          "--ulmt-mode=bogus", "--vm=garbage", "--vm", "--page-size=1g",
+          "--remap-rate=-1", "--remap-rate=abc", "--remap-rate=",
+          "--table-cache=100,3", "--table-cache=x", "--table-cache=",
+          "--table-cache=64,0"}) {
+        driver::RunOverrides o;
+        try {
+            driver::parseRunFlag(arg, o);
+            ADD_FAILURE() << arg << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            const std::string value =
+                std::string(arg).substr(std::string(arg).find('=') + 1);
+            EXPECT_NE(std::string(e.what()).find(value),
+                      std::string::npos)
+                << arg << ": " << e.what();
+        }
+    }
+}
+
+TEST(RunFlags, ScaleIsFiniteInRange)
+{
+    EXPECT_EQ(driver::parseScale("0.25"), 0.25);
+    EXPECT_EQ(driver::parseScale("64"), 64.0);
+    for (const char *bad :
+         {"abc", "", "0", "-1", "64.5", "nan", "inf", "1e9", "0.1x"}) {
+        EXPECT_THROW(driver::parseScale(bad), std::invalid_argument)
+            << bad;
+    }
 }
 
 TEST(Factory, Table4Defaults)

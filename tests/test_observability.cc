@@ -449,7 +449,9 @@ TEST(ObservabilityDeterminismTest, ParallelRunnerSamplingInvariant)
     const std::vector<std::string> apps = {"Tree", "Mcf"};
 
     auto sweep = [&](sim::Cycle interval) {
-        driver::setMetricsIntervalOverride(interval);
+        driver::RunOverrides sampling;
+        sampling.metricsInterval = interval;
+        driver::setRunOverrides(sampling);
         std::vector<std::function<driver::RunResult()>> tasks;
         for (const std::string &app : apps) {
             tasks.push_back([&, app] {
@@ -461,7 +463,7 @@ TEST(ObservabilityDeterminismTest, ParallelRunnerSamplingInvariant)
             });
         }
         auto results = driver::runTasks(tasks, 2);
-        driver::clearMetricsIntervalOverride();
+        driver::setRunOverrides({});
         std::string fp;
         for (const auto &r : results)
             fp += driver::resultFingerprint(r) + "\n";

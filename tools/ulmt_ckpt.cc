@@ -7,11 +7,13 @@
  *                    [--ulmt-mode=shared|percore|sharded]
  *                    [--vm=on|off] [--page-size=4k|2m]
  *                    [--remap-rate=R]
+ *                    [--table-cache=<entries>[,<assoc>]]
  *       Run <app> under the named ULMT algorithm (default Repl;
  *       "None" = no ULMT), snapshotting after SPEC ("<N>" demand L2
  *       misses, default 1000, or "<N>c" at cycle N), and report the
- *       run's result fingerprint.  --cores/--ulmt-mode snapshot a
- *       multicore machine; restoring needs the same shape.
+ *       run's result fingerprint.  The machine-shape flags (--cores
+ *       through --table-cache) are the benches' own, parsed by
+ *       driver::parseRunFlag; restoring needs the same shape.
  *
  *   ulmt-ckpt info <file>
  *       Print header provenance (including the machine shape and the
@@ -32,12 +34,15 @@
  * A snapshot restores via `driver::runSampled` or the benches'
  * `--restore-from=` flag; the restored run finishes with statistics
  * bit-identical to the uninterrupted run it was taken from.
+ *
+ * A bad command line (unknown flag or subcommand, bad flag value)
+ * exits with status 2; any other failure exits with status 1.
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -47,6 +52,8 @@
 #include "vm/vm.hh"
 
 namespace {
+
+using driver::flagValue;
 
 int
 usage(const char *argv0)
@@ -67,21 +74,6 @@ usage(const char *argv0)
     return 2;
 }
 
-/** --key= prefix match; returns the value part or nullptr. */
-const char *
-flagValue(const char *arg, const char *key)
-{
-    const std::size_t n = std::strlen(key);
-    return std::strncmp(arg, key, n) == 0 ? arg + n : nullptr;
-}
-
-[[noreturn]] void
-badFlag(const char *arg)
-{
-    std::fprintf(stderr, "ulmt-ckpt: unknown argument '%s'\n", arg);
-    std::exit(2);
-}
-
 int
 cmdCreate(const std::vector<std::string> &args)
 {
@@ -94,51 +86,23 @@ cmdCreate(const std::vector<std::string> &args)
     std::string algo_name = "Repl";
     std::string at = "1000";
     bool conven4 = false;
-    unsigned cores = 1;
-    core::UlmtMode mode = core::UlmtMode::Shared;
-    vm::VmSpec vmSpec;
-    mem::TableCacheSpec tcacheSpec;
+    driver::RunOverrides run;
     for (std::size_t i = 2; i < args.size(); ++i) {
-        if (const char *v = flagValue(args[i].c_str(), "--algo="))
+        const std::string &arg = args[i];
+        if (driver::parseRunFlag(arg, run))
+            continue;
+        if (const char *v = flagValue(arg, "--algo="))
             algo_name = v;
-        else if (const char *a = flagValue(args[i].c_str(), "--at="))
+        else if (const char *a = flagValue(arg, "--at="))
             at = a;
-        else if (const char *s = flagValue(args[i].c_str(), "--scale="))
-            opt.scale = std::atof(s);
-        else if (const char *n = flagValue(args[i].c_str(), "--seed="))
+        else if (const char *s = flagValue(arg, "--scale="))
+            opt.scale = driver::parseScale(s);
+        else if (const char *n = flagValue(arg, "--seed="))
             opt.seed = std::strtoull(n, nullptr, 0);
-        else if (args[i] == "--conven4")
+        else if (arg == "--conven4")
             conven4 = true;
-        else if (const char *c = flagValue(args[i].c_str(), "--cores="))
-            cores = unsigned(std::strtoul(c, nullptr, 10));
-        else if (const char *m =
-                     flagValue(args[i].c_str(), "--ulmt-mode="))
-            mode = core::parseUlmtMode(m);
-        else if (const char *vmv = flagValue(args[i].c_str(), "--vm="))
-            vmSpec.enabled = std::strcmp(vmv, "on") == 0;
-        else if (const char *ps =
-                     flagValue(args[i].c_str(), "--page-size="))
-            vmSpec.pageBytes = vm::parsePageSize(ps);
-        else if (const char *rr =
-                     flagValue(args[i].c_str(), "--remap-rate="))
-            vmSpec.remapRate = std::atof(rr);
-        else if (const char *tc =
-                     flagValue(args[i].c_str(), "--table-cache=")) {
-            char *end = nullptr;
-            tcacheSpec.entries =
-                std::uint32_t(std::strtoul(tc, &end, 10));
-            if (*end == ',')
-                tcacheSpec.assoc =
-                    std::uint32_t(std::strtoul(end + 1, &end, 10));
-            if (*end != '\0' || tcacheSpec.assoc == 0 ||
-                (tcacheSpec.entries != 0 &&
-                 tcacheSpec.entries % tcacheSpec.assoc != 0))
-                throw ckpt::CkptError(
-                    "bad --table-cache value (expected "
-                    "<entries>[,<assoc>], entries divisible by "
-                    "assoc, 0 disables)");
-        } else
-            badFlag(args[i].c_str());
+        else
+            throw std::invalid_argument("unknown argument '" + arg + "'");
     }
 
     const core::UlmtAlgo algo = core::parseUlmtAlgo(algo_name);
@@ -149,13 +113,10 @@ cmdCreate(const std::vector<std::string> &args)
                        : driver::ulmtConfig(opt, algo, app));
     if (algo == core::UlmtAlgo::None && conven4)
         cfg = driver::conven4Config(opt);
-    cfg.cores = cores;
-    cfg.ulmtMode = mode;
-    cfg.vm = vmSpec;
-    cfg.tableCache = tcacheSpec;
+    run.applyTo(cfg);
 
     auto ws =
-        driver::makeCoreWorkloads(app, opt.seed, opt.scale, cores);
+        driver::makeCoreWorkloads(app, opt.seed, opt.scale, cfg.cores);
     const std::string name = ws[0]->name();
     driver::System sys(cfg, std::move(ws), name);
     sys.setCheckpointMeta(app, opt.seed, opt.scale);
@@ -362,6 +323,9 @@ main(int argc, char **argv)
             return cmdDiff(args);
         if (cmd == "list-workloads")
             return cmdListWorkloads();
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "ulmt-ckpt: %s\n", e.what());
+        return 2;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "ulmt-ckpt: %s\n", e.what());
         return 1;

@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -295,9 +296,12 @@ main(int argc, char **argv)
                 return usage(argv[0]);
         } else if (const char *sc =
                        flagValue(argc, argv, i, "--scale")) {
-            scale = std::atof(sc);
-            if (scale <= 0.0)
-                return usage(argv[0]);
+            try {
+                scale = driver::parseScale(sc);
+            } catch (const std::invalid_argument &e) {
+                std::fprintf(stderr, "ulmt-fuzz: %s\n", e.what());
+                return 2;
+            }
         } else if (std::strcmp(argv[i], "-v") == 0) {
             verbose_log = true;
         } else {

@@ -4,10 +4,10 @@
  * statistic registry as JSON.
  *
  *   ulmt-stats dump <app> [--config=NAME] [--scale=S] [--seed=N]
- *                   [--placement=dram|nb] [--metrics-interval=N]
- *                   [--trace-events=PATH] [--cores=N]
- *                   [--ulmt-mode=shared|percore|sharded]
+ *                   [--placement=dram|nb] [--trace-events=PATH]
+ *                   [--cores=N] [--ulmt-mode=shared|percore|sharded]
  *                   [--vm=on|off] [--page-size=4k|2m] [--remap-rate=R]
+ *                   [--table-cache=<entries>[,<assoc>]]
  *                   [--core=ID] [--filter=GLOB] [--json|--table]
  *       Run <app> (an application name or trace:<path>) under the
  *       named configuration and print every registered statistic --
@@ -19,7 +19,9 @@
  *   (Base, Chain, Repl, Seq1, Seq4, Seq1+Repl, Seq4+Repl) optionally
  *   prefixed with "conven4+".  Default: conven4+Repl.
  *
- *   --cores/--ulmt-mode simulate a multicore machine; its per-core
+ *   --cores through --table-cache are the benches' machine-shape
+ *   flags, parsed by driver::parseRunFlag.  --cores/--ulmt-mode
+ *   simulate a multicore machine; its per-core
  *   statistics land under "cpu.<id>.*", "ulmt.<id>.*" and
  *   "memsys.core.<id>.*"; the VM layer's (--vm and friends) under
  *   "vm.core.<id>.*" and "vm.*".  --core=ID restricts the dump to the
@@ -33,23 +35,25 @@
  *
  * The same registry backs the `metrics` time series in the bench
  * JSON; this tool is the quickest way to see which dotted names
- * exist.
+ * exist.  A bad command line exits with status 2.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/factory.hh"
 #include "driver/experiment.hh"
 #include "sim/stat_registry.hh"
-#include "sim/types.hh"
 #include "workloads/workload.hh"
 
 namespace {
+
+using driver::flagValue;
 
 int
 usage(const char *argv0)
@@ -57,10 +61,10 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s dump <app> [--config=NAME] [--scale=S] [--seed=N]\n"
-        "       [--placement=dram|nb] [--metrics-interval=N]\n"
-        "       [--trace-events=PATH] [--cores=N]\n"
-        "       [--ulmt-mode=shared|percore|sharded]\n"
+        "       [--placement=dram|nb] [--trace-events=PATH]\n"
+        "       [--cores=N] [--ulmt-mode=shared|percore|sharded]\n"
         "       [--vm=on|off] [--page-size=4k|2m] [--remap-rate=R]\n"
+        "       [--table-cache=<entries>[,<assoc>]]\n"
         "       [--core=ID] [--filter=GLOB] [--json|--table]\n"
         "  filter: *?-glob (e.g. vm.*); a trailing '.' anchors a\n"
         "  subtree prefix exactly (vm.core.1. excludes vm.core.12.*)\n"
@@ -100,14 +104,6 @@ hasSegment(const std::string &name, const std::string &id)
             return false;
         start = dot + 1;
     }
-}
-
-/** --key= prefix match; returns the value part or nullptr. */
-const char *
-flagValue(const char *arg, const char *key)
-{
-    const std::size_t n = std::strlen(key);
-    return std::strncmp(arg, key, n) == 0 ? arg + n : nullptr;
 }
 
 /** The --table renderer: one aligned "name  value" line per stat;
@@ -181,9 +177,7 @@ cmdDump(const std::vector<std::string> &args)
     const std::string &app = args[0];
     std::string config = "conven4+Repl";
     std::string trace_path;
-    unsigned cores = 1;
-    core::UlmtMode mode = core::UlmtMode::Shared;
-    vm::VmSpec vmSpec;
+    driver::RunOverrides run;
     std::vector<std::string> core_ids;
     std::vector<std::string> globs;
     bool table = false;
@@ -191,11 +185,13 @@ cmdDump(const std::vector<std::string> &args)
     opt.scale = 0.25;
 
     for (std::size_t i = 1; i < args.size(); ++i) {
-        const char *arg = args[i].c_str();
+        const std::string &arg = args[i];
+        if (driver::parseRunFlag(arg, run))
+            continue;
         if (const char *v = flagValue(arg, "--config=")) {
             config = v;
         } else if (const char *v2 = flagValue(arg, "--scale=")) {
-            opt.scale = std::atof(v2);
+            opt.scale = driver::parseScale(v2);
         } else if (const char *v3 = flagValue(arg, "--seed=")) {
             opt.seed = std::strtoull(v3, nullptr, 0);
         } else if (const char *v4 = flagValue(arg, "--placement=")) {
@@ -205,60 +201,29 @@ cmdDump(const std::vector<std::string> &args)
                 opt.placement = mem::MemProcPlacement::NorthBridge;
             else
                 throw std::invalid_argument(
-                    "bad --placement (want dram or nb): " + args[i]);
-        } else if (const char *v5 =
-                       flagValue(arg, "--metrics-interval=")) {
-            driver::setMetricsIntervalOverride(
-                std::strtoull(v5, nullptr, 10));
-        } else if (const char *v6 = flagValue(arg, "--trace-events=")) {
-            trace_path = v6;
-        } else if (const char *v7 = flagValue(arg, "--cores=")) {
-            const unsigned long n = std::strtoul(v7, nullptr, 10);
-            if (n < 1 || n > sim::maxCores)
-                throw std::invalid_argument(
-                    "bad --cores (want 1.." +
-                    std::to_string(sim::maxCores) + "): " + args[i]);
-            cores = unsigned(n);
-        } else if (const char *v8 = flagValue(arg, "--ulmt-mode=")) {
-            mode = core::parseUlmtMode(v8);
-        } else if (const char *v9 = flagValue(arg, "--core=")) {
-            core_ids.emplace_back(v9);
-        } else if (const char *v10 = flagValue(arg, "--filter=")) {
-            globs.emplace_back(v10);
-        } else if (const char *v11 = flagValue(arg, "--vm=")) {
-            if (std::strcmp(v11, "on") == 0)
-                vmSpec.enabled = true;
-            else if (std::strcmp(v11, "off") == 0)
-                vmSpec.enabled = false;
-            else
-                throw std::invalid_argument(
-                    "bad --vm (want on or off): " + args[i]);
-        } else if (const char *v12 = flagValue(arg, "--page-size=")) {
-            vmSpec.pageBytes = vm::parsePageSize(v12);
-        } else if (const char *v13 = flagValue(arg, "--remap-rate=")) {
-            vmSpec.remapRate = std::atof(v13);
-            if (vmSpec.remapRate < 0.0)
-                throw std::invalid_argument(
-                    "bad --remap-rate (want >= 0): " + args[i]);
-        } else if (std::strcmp(arg, "--json") == 0) {
+                    "bad --placement (want dram or nb): " + arg);
+        } else if (const char *v5 = flagValue(arg, "--trace-events=")) {
+            trace_path = v5;
+        } else if (const char *v6 = flagValue(arg, "--core=")) {
+            core_ids.emplace_back(v6);
+        } else if (const char *v7 = flagValue(arg, "--filter=")) {
+            globs.emplace_back(v7);
+        } else if (arg == "--json") {
             table = false;  // the default; accepted for symmetry
-        } else if (std::strcmp(arg, "--table") == 0) {
+        } else if (arg == "--table") {
             table = true;
         } else {
-            throw std::invalid_argument("unknown argument '" +
-                                        args[i] + "'");
+            throw std::invalid_argument("unknown argument '" + arg + "'");
         }
     }
 
     driver::SystemConfig cfg = configByName(config, opt, app);
-    cfg.cores = cores;
-    cfg.ulmtMode = mode;
-    cfg.vm = vmSpec;
+    run.applyTo(cfg);
     if (!trace_path.empty())
         driver::setTraceEventsPath(trace_path);
 
     auto ws =
-        driver::makeCoreWorkloads(app, opt.seed, opt.scale, cores);
+        driver::makeCoreWorkloads(app, opt.seed, opt.scale, cfg.cores);
     const std::string name = ws[0]->name();
     driver::System sys(cfg, std::move(ws), name);
 
@@ -317,6 +282,9 @@ main(int argc, char **argv)
     try {
         if (cmd == "dump")
             return cmdDump(args);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "ulmt-stats: %s\n", e.what());
+        return 2;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "ulmt-stats: %s\n", e.what());
         return 1;

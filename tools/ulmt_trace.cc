@@ -17,22 +17,27 @@
  *       per line) into the native format.
  *
  * Every produced file replays as a first-class workload under the
- * `trace:<path>` scheme accepted by the benches and examples.
+ * `trace:<path>` scheme accepted by the benches and examples.  A bad
+ * command line (unknown flag, scale outside (0, 64], unknown workload)
+ * exits with status 2.
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "driver/experiment.hh"
 #include "trace/import.hh"
 #include "trace/reader.hh"
 #include "trace/writer.hh"
 #include "workloads/workload.hh"
 
 namespace {
+
+using driver::flagValue;
 
 int
 usage(const char *argv0)
@@ -46,14 +51,6 @@ usage(const char *argv0)
         "  convert <in.txt> <out.trace> [--app=NAME] [--ops=N]\n",
         argv0);
     return 2;
-}
-
-/** --key= prefix match; returns the value part or nullptr. */
-const char *
-flagValue(const char *arg, const char *key)
-{
-    const std::size_t n = std::strlen(key);
-    return std::strncmp(arg, key, n) == 0 ? arg + n : nullptr;
 }
 
 [[noreturn]] void
@@ -73,9 +70,9 @@ cmdRecord(const std::vector<std::string> &args)
     const std::string &out = args[1];
     workloads::WorkloadParams wp;
     for (std::size_t i = 2; i < args.size(); ++i) {
-        if (const char *v = flagValue(args[i].c_str(), "--scale="))
-            wp.scale = std::atof(v);
-        else if (const char *s = flagValue(args[i].c_str(), "--seed="))
+        if (const char *v = flagValue(args[i], "--scale="))
+            wp.scale = driver::parseScale(v);
+        else if (const char *s = flagValue(args[i], "--seed="))
             wp.seed = std::strtoull(s, nullptr, 0);
         else
             badFlag(args[i].c_str());
@@ -127,7 +124,7 @@ cmdDump(const std::vector<std::string> &args)
         throw trace::TraceError("dump needs a <file>");
     std::uint64_t limit = 32;
     for (std::size_t i = 1; i < args.size(); ++i) {
-        if (const char *v = flagValue(args[i].c_str(), "--limit="))
+        if (const char *v = flagValue(args[i], "--limit="))
             limit = std::strtoull(v, nullptr, 0);
         else
             badFlag(args[i].c_str());
@@ -166,9 +163,9 @@ cmdConvert(const std::vector<std::string> &args)
             "convert needs <in.txt> <out.trace> arguments");
     trace::ImportOptions io;
     for (std::size_t i = 2; i < args.size(); ++i) {
-        if (const char *v = flagValue(args[i].c_str(), "--app="))
+        if (const char *v = flagValue(args[i], "--app="))
             io.app = v;
-        else if (const char *o = flagValue(args[i].c_str(), "--ops="))
+        else if (const char *o = flagValue(args[i], "--ops="))
             io.computeOps =
                 static_cast<std::uint32_t>(std::strtoul(o, nullptr, 0));
         else
@@ -203,6 +200,9 @@ main(int argc, char **argv)
             return cmdDump(args);
         if (cmd == "convert")
             return cmdConvert(args);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "ulmt-trace: %s\n", e.what());
+        return 2;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "ulmt-trace: %s\n", e.what());
         return 1;
