@@ -573,70 +573,9 @@ Harness::writeJson() const
     }
     std::fwrite(out.data(), 1, out.size(), f);
     std::fclose(f);
-    writeThroughputJson();
     std::printf("\n[bench] wrote %s (%.2fs total, %u jobs)\n",
                 path.c_str(), total, driver::runnerJobs());
     return path;
-}
-
-void
-Harness::writeThroughputJson() const
-{
-    // The host-side throughput summary of this bench invocation: how
-    // fast the simulator itself ran each configuration.  Every bench
-    // rewrites the file, so it always describes the latest invocation
-    // (CI archives it next to the bench's own JSON).
-    std::uint64_t total_events = 0;
-    double total_wall = 0.0;
-    std::string out = "{\n  \"bench\": ";
-    appendEscaped(out, name_);
-    out += ",\n";
-    out += provenanceJson();
-    out += "  \"throughput\": [";
-    for (std::size_t i = 0; i < runs_.size(); ++i) {
-        const driver::RunResult &r = runs_[i];
-        total_events += r.eventsExecuted;
-        total_wall += r.wallSeconds;
-        out += i ? ",\n    " : "\n    ";
-        out += "{\"workload\": ";
-        appendEscaped(out, r.workload);
-        out += ", \"config\": ";
-        appendEscaped(out, r.label);
-        // Self-identifying rows: a throughput archive mixes many bench
-        // invocations, so each row carries its machine shape.
-        out += ", \"scale\": " + jsonNumber(opt_.scale);
-        out += sim::strformat(", \"cores\": %u", std::max(r.cores, 1u));
-        out += ", \"ulmt_mode\": ";
-        appendEscaped(out, r.ulmtMode.empty() ? "shared" : r.ulmtMode);
-        out += sim::strformat(", \"events\": %llu",
-                              (unsigned long long)r.eventsExecuted);
-        out += ", \"wall_seconds\": " + jsonNumber(r.wallSeconds);
-        out += ", \"events_per_sec\": " + eventsPerSec(r);
-        out += "}";
-    }
-    out += runs_.empty() ? "],\n" : "\n  ],\n";
-    out += sim::strformat("  \"events_total\": %llu,\n",
-                          (unsigned long long)total_events);
-    out += "  \"wall_seconds_sim\": " + jsonNumber(total_wall) + ",\n";
-    out += "  \"events_per_sec_overall\": " +
-           jsonNumber(total_wall > 0.0
-                          ? static_cast<double>(total_events) /
-                                total_wall
-                          : 0.0) +
-           "\n}\n";
-
-    std::string path = "BENCH_throughput.json";
-    if (const char *dir = std::getenv("ULMT_BENCH_DIR")) {
-        if (*dir)
-            path = std::string(dir) + "/" + path;
-    }
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        sim::warn("cannot write %s", path.c_str());
-        return;
-    }
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
 }
 
 } // namespace bench

@@ -113,18 +113,10 @@ class Harness
     /** Report a figure-level metric (average speedup, coverage, ...). */
     void metric(const std::string &key, double value);
 
-    /**
-     * Write BENCH_<name>.json; returns the path written.  Also emits
-     * BENCH_throughput.json, the host-side throughput summary of this
-     * invocation: one {workload, config, scale, cores, ulmt_mode,
-     * events, wall_seconds, events_per_sec} row per run plus the
-     * aggregate events/sec.
-     */
+    /** Write BENCH_<name>.json; returns the path written. */
     std::string writeJson() const;
 
   private:
-    void writeThroughputJson() const;
-
     std::string name_;
     Options opt_;
     std::chrono::steady_clock::time_point start_;

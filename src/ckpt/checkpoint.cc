@@ -166,8 +166,7 @@ CheckpointImage::readFile(const std::string &path)
             fail(path, "not a ULMTCKP1 checkpoint (bad magic)");
         pos = sizeof(fileMagic);
         img.header.version = getLe<std::uint32_t>(data, size, pos);
-        if (img.header.version < minFormatVersion ||
-            img.header.version > formatVersion)
+        if (img.header.version != formatVersion)
             fail(path, "unsupported format version " +
                            std::to_string(img.header.version));
         (void)getLe<std::uint32_t>(data, size, pos); // reserved

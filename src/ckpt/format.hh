@@ -71,13 +71,12 @@ inline constexpr char fileMagic[8] = {'U', 'L', 'M', 'T',
  *  system and hierarchy streams gained the page-cross drop counters.
  *  Version 5: memory-side table cache -- a "tcache" section holds the
  *  MSCache tag array, dirty buffer and counters when --table-cache is
- *  on.  v4 files stay readable: a cache-off machine restores them
- *  unchanged, and a cache-on machine rejects them with a message
- *  naming the missing section. */
-inline constexpr std::uint32_t formatVersion = 5;
-
-/** Oldest container layout readFile() still accepts. */
-inline constexpr std::uint32_t minFormatVersion = 4;
+ *  on.  Version 6: the config fingerprint is a walk over every
+ *  config struct's field visitor (sim/fields.hh); the layout is
+ *  unchanged, but no older file can match a v6 fingerprint, so
+ *  readFile() accepts only this version: an older file is rejected by
+ *  version rather than as a different machine configuration. */
+inline constexpr std::uint32_t formatVersion = 6;
 
 /** "CSEC" as a little-endian u32. */
 inline constexpr std::uint32_t sectionMagic = 0x43455343u;

@@ -68,6 +68,17 @@ struct UlmtSpec
     bool verbose = false;
 
     bool enabled() const { return algo != UlmtAlgo::None; }
+
+    /** Every field, named once (sim/fields.hh). */
+    template <class V>
+    static constexpr void
+    forEachField(V &&v)
+    {
+        v("algo", &UlmtSpec::algo);
+        v("numRows", &UlmtSpec::numRows);
+        v("numLevels", &UlmtSpec::numLevels);
+        v("verbose", &UlmtSpec::verbose);
+    }
 };
 
 /**

@@ -1,5 +1,6 @@
 #include "driver/experiment.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -176,6 +177,22 @@ parseScale(const std::string &s)
         throw std::invalid_argument(
             sim::strformat("bad scale '%s' (expected a number in (0, %g])",
                            s.c_str(), max_scale));
+    return v;
+}
+
+std::uint64_t
+parseSeed(const std::string &s)
+{
+    const bool hex = s.size() > 2 && s[0] == '0' &&
+                     (s[1] == 'x' || s[1] == 'X');
+    const char *first = s.data() + (hex ? 2 : 0);
+    const char *last = s.data() + s.size();
+    std::uint64_t v = 0;
+    const auto [end, ec] = std::from_chars(first, last, v, hex ? 16 : 10);
+    if (first == last || ec != std::errc{} || end != last)
+        throw std::invalid_argument(
+            "bad seed '" + s +
+            "' (expected a decimal or 0x-hex integer below 2^64)");
     return v;
 }
 

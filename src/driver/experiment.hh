@@ -122,6 +122,12 @@ const char *flagValue(const std::string &arg, const char *key);
 double parseScale(const std::string &s);
 
 /**
+ * A seed: the whole of @p s as a decimal or 0x-hex integer below 2^64.
+ * @throws std::invalid_argument naming the input otherwise.
+ */
+std::uint64_t parseSeed(const std::string &s);
+
+/**
  * Start writing Chrome trace events from all subsequent runs to
  * @p path (empty string turns tracing back off).
  * @throws std::runtime_error when the file cannot be created.

@@ -46,13 +46,15 @@ std::string fmtPercent(double v, int digits = 1);
 double mean(const std::vector<double> &v);
 
 /**
- * Serialize every deterministic field of a RunResult (all counters,
- * sample statistics with exact hex-float encoding, miss-gap fractions
- * and a hash of the miss stream) into one string.  Two runs of the
- * same (app, config, seed) must produce byte-identical fingerprints
- * regardless of worker count -- the determinism regression tests and
- * golden comparisons rely on this.  Host-side timing (wallSeconds) is
- * deliberately excluded.
+ * Serialize the deterministic outcome of a run into one string: the
+ * workload and config label, the executed-event count, a hash of the
+ * recorded miss stream and every non-passive registry leaf
+ * (RunResult::leaves; samples and gauges in exact hex-float form).
+ * Two runs of the same (app, config, seed) must produce byte-identical
+ * fingerprints regardless of worker count, and a checkpoint-restored
+ * run must match its straight twin -- the determinism regression
+ * tests and golden comparisons rely on this.  Host-side timing and
+ * passive observability (audit, checker, sampler) are excluded.
  */
 std::string resultFingerprint(const RunResult &r);
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <stdexcept>
+#include <type_traits>
 
 #include "ckpt/sim_state.hh"
 #include "sim/logging.hh"
@@ -19,20 +20,25 @@ constexpr std::uint64_t maxEvents = 4'000'000'000ULL;
  * The config's check options, unless the config leaves checking off
  * and the ULMT_CHECK environment variable (1/basic/deep) asks for it
  * process-wide (the CI hook for a checker-enabled test pass).
+ * @throws std::invalid_argument on a non-empty value other than 0/off.
  */
 check::CheckOptions
 effectiveCheckOptions(const SystemConfig &cfg)
 {
+    const char *env = std::getenv("ULMT_CHECK");
+    const std::string v = env ? env : "";
+    check::CheckMode mode = check::CheckMode::Off;
+    if (v == "1" || v == "basic")
+        mode = check::CheckMode::Basic;
+    else if (v == "deep")
+        mode = check::CheckMode::Deep;
+    else if (!v.empty() && v != "0" && v != "off")
+        throw std::invalid_argument(
+            "bad ULMT_CHECK value '" + v +
+            "' (expected 0, off, 1, basic or deep)");
     check::CheckOptions opts = cfg.check;
-    if (opts.enabled())
-        return opts;
-    if (const char *env = std::getenv("ULMT_CHECK")) {
-        const std::string v(env);
-        if (v == "deep")
-            opts.mode = check::CheckMode::Deep;
-        else if (v == "1" || v == "basic")
-            opts.mode = check::CheckMode::Basic;
-    }
+    if (!opts.enabled())
+        opts.mode = mode;
     return opts;
 }
 
@@ -41,17 +47,20 @@ effectiveCheckOptions(const SystemConfig &cfg)
  * overrides it process-wide (0/off disables, 1/on enables) -- the same
  * escape hatch pattern as ULMT_CHECK, e.g. for an A/B passivity sweep
  * over an unmodified benchmark binary.
+ * @throws std::invalid_argument on any other non-empty value.
  */
 bool
 effectiveAuditEnabled(const SystemConfig &cfg)
 {
-    if (const char *env = std::getenv("ULMT_AUDIT")) {
-        const std::string v(env);
-        if (v == "0" || v == "off")
-            return false;
-        if (v == "1" || v == "on")
-            return true;
-    }
+    const char *env = std::getenv("ULMT_AUDIT");
+    const std::string v = env ? env : "";
+    if (v == "0" || v == "off")
+        return false;
+    if (v == "1" || v == "on")
+        return true;
+    if (!v.empty())
+        throw std::invalid_argument("bad ULMT_AUDIT value '" + v +
+                                    "' (expected 0, off, 1 or on)");
     return cfg.audit;
 }
 
@@ -283,12 +292,15 @@ System::initObservability()
     }
 
     // Host-side checkpoint costs (0 until a save/restore happens).
-    registry_.addGauge("ckpt.save_seconds",
-                       [this] { return ckptSaveSeconds_; });
-    registry_.addGauge("ckpt.restore_seconds",
-                       [this] { return ckptRestoreSeconds_; });
-    registry_.addGauge("ckpt.snapshot_bytes",
-                       [this] { return double(ckptBytes_); });
+    {
+        const sim::StatRegistry::PassiveScope passive(registry_);
+        registry_.addGauge("ckpt.save_seconds",
+                           [this] { return ckptSaveSeconds_; });
+        registry_.addGauge("ckpt.restore_seconds",
+                           [this] { return ckptRestoreSeconds_; });
+        registry_.addGauge("ckpt.snapshot_bytes",
+                           [this] { return double(ckptBytes_); });
+    }
 
     if (cfg_.metricsInterval == 0)
         return;
@@ -411,82 +423,29 @@ System::setCheckpointTrigger(const std::string &spec, std::string path)
 }
 
 std::uint64_t
-System::configFingerprint() const
+configFingerprint(const SystemConfig &cfg, const std::string &workload)
 {
-    // Canonical serialization of everything that shapes simulated
-    // behaviour; metricsInterval is passive observability and is
-    // deliberately excluded so a sampling run can restore a
-    // non-sampling snapshot (and vice versa).
     ckpt::StateWriter w;
-    const mem::TimingParams &tp = cfg_.timing;
-    w.u32(tp.issueWidth);
-    w.u32(tp.maxPendingLoads);
-    w.u32(tp.maxPendingStores);
-    w.u32(tp.robSize);
-    for (const mem::CacheGeometry *g :
-         {&tp.l1, &tp.l2, &tp.memProcL1}) {
-        w.u32(g->sizeBytes);
-        w.u32(g->assoc);
-        w.u32(g->lineBytes);
-    }
-    w.u32(tp.streamNumSeq);
-    w.u32(tp.streamNumPref);
-    w.u64(tp.l1HitRt);
-    w.u64(tp.l2HitRt);
-    w.u32(tp.l2Mshrs);
-    w.u64(tp.busCyclesPerBeat);
-    w.u32(tp.busBytesPerBeat);
-    w.u64(tp.reqPathCycles);
-    w.u64(tp.respPathCycles);
-    w.u32(tp.dramChannels);
-    w.u32(tp.dramBanksPerChannel);
-    w.u32(tp.dramRowBytes);
-    w.u64(tp.bankRowHitCycles);
-    w.u64(tp.bankRowMissCycles);
-    w.u64(tp.channelXferCycles);
-    w.u64(tp.tableBankRowHitCycles);
-    w.u64(tp.tableBankRowMissCycles);
-    w.u64(tp.tableChannelXferCycles);
-    w.u8(static_cast<std::uint8_t>(tp.placement));
-    w.u32(tp.memProcIssueWidth);
-    w.u64(tp.memProcL1HitRtMemCycles);
-    w.u64(tp.tableAccessFixedDram);
-    w.u64(tp.tableAccessFixedNorthBridge);
-    w.u64(tp.prefetchInjectDelay);
-    w.u32(tp.queueDepth);
-    w.u32(tp.filterEntries);
-
-    w.b(cfg_.conven4);
-    w.u32(static_cast<std::uint32_t>(cfg_.ulmt.algo));
-    w.u32(cfg_.ulmt.numRows);
-    w.u32(cfg_.ulmt.numLevels);
-    w.b(cfg_.ulmt.verbose);
-    w.u64(cfg_.hwCorrSramBytes);
-    w.b(cfg_.hwCorrReplicated);
-    w.b(cfg_.recordMissStream);
-    w.str(cfg_.label);
-    w.str(workloadName_);
-    // Appended only for non-default machines so every pre-multicore
-    // fingerprint (one core, shared serving) stays bit-identical.
-    if (cfg_.cores > 1 || cfg_.ulmtMode != core::UlmtMode::Shared) {
-        w.u32(cfg_.cores);
-        w.u32(static_cast<std::uint32_t>(cfg_.ulmtMode));
-    }
-    // Same conditional-append idiom for the VM layer: only a machine
-    // that translates extends the fingerprint, so every pre-VM
-    // fingerprint stays bit-identical.
-    if (cfg_.vm.on()) {
-        w.u32(cfg_.vm.pageBytes);
-        w.f64(cfg_.vm.remapRate);
-        w.u64(cfg_.vm.seed);
-    }
-    // And for the table cache: --table-cache=0 machines keep the
-    // pre-MSCache fingerprint.
-    if (cfg_.tableCache.on()) {
-        w.u32(cfg_.tableCache.entries);
-        w.u32(cfg_.tableCache.assoc);
-    }
-
+    const auto put = [&w](const auto &v) {
+        using T = std::remove_cvref_t<decltype(v)>;
+        if constexpr (std::is_floating_point_v<T>)
+            w.f64(v);
+        else if constexpr (std::is_same_v<T, std::string>)
+            w.str(v);
+        else  // integers, bools and enums
+            w.u64(static_cast<std::uint64_t>(v));
+    };
+    sim::forEachLeafField(
+        cfg, [&put](const auto &owner, const std::string &, auto member,
+                    auto... options) {
+            if constexpr (sim::isPassive<decltype(options)...>)
+                return;
+            else if constexpr (sizeof...(options) == 1)
+                put((owner.*options)()...);
+            else
+                put(owner.*member);
+        });
+    w.str(workload);
     const std::string &buf = w.buffer();
     return ckpt::fnv1a64(buf.data(), buf.size());
 }
@@ -537,7 +496,7 @@ System::saveCheckpoint(const std::string &path)
     }
 
     ckpt::CheckpointImage img;
-    img.header.configFingerprint = configFingerprint();
+    img.header.configFingerprint = configFingerprint(cfg_, workloadName_);
     img.header.seed = ckptSeed_;
     img.header.scale = ckptScale_;
     img.header.cycle = eq_.now();
@@ -664,19 +623,19 @@ System::restoreCheckpoint(const std::string &path)
             shape(img.header.vmPageBytes) + ", but this machine has " +
             shape(my_page_bytes));
     }
-    // A cache-on machine needs the tcache section.  v4 files (and v5
-    // files from --table-cache=0 machines) lack it; report that as
-    // the shape mismatch it is before the opaque fingerprint check.
+    // A cache-on machine needs the tcache section; report its absence
+    // as the shape mismatch it is before the opaque fingerprint check.
     if (cfg_.tableCache.on() && !img.findSection("tcache")) {
         throw ckpt::CkptError(
             "checkpoint '" + path +
-            "' has no table-cache section (format v4, or taken with "
+            "' has no table-cache section (taken with "
             "--table-cache=0); this machine runs --table-cache=" +
             std::to_string(cfg_.tableCache.entries) + "," +
             std::to_string(cfg_.tableCache.assoc) +
             " -- re-create the checkpoint with the same flag");
     }
-    if (img.header.configFingerprint != configFingerprint()) {
+    if (img.header.configFingerprint !=
+        configFingerprint(cfg_, workloadName_)) {
         throw ckpt::CkptError(
             "checkpoint '" + path +
             "' was taken under a different machine configuration");
@@ -929,6 +888,7 @@ System::run()
     }
 
     r.missStream = std::move(missStream_);
+    r.leaves = registry_.leaves();
     if (sampler_) {
         sampler_->flush(eq_.now());  // final end-of-run row
         r.metrics = sampler_->take();

@@ -35,6 +35,7 @@
 #include "mem/memory_system.hh"
 #include "mem/timing_params.hh"
 #include "sim/event_queue.hh"
+#include "sim/fields.hh"
 #include "sim/stat_registry.hh"
 #include "sim/timeseries.hh"
 #include "sim/trace_event.hh"
@@ -71,48 +72,74 @@ struct SystemConfig
     /** Record the demand L2 miss stream (predictability studies). */
     bool recordMissStream = false;
     /**
-     * Time-series sampling interval in cycles (0 disables).  Sampling
-     * is passive -- it never perturbs simulated timing, and the
-     * determinism fingerprint is identical with it on or off.
+     * Time-series sampling interval in cycles (0 disables).  Passive
+     * (marked in forEachField) -- it never perturbs simulated timing,
+     * and both fingerprints are identical with it on or off.
      */
     sim::Cycle metricsInterval = 16384;
     /**
      * Runtime invariant checking (DESIGN.md section 10).  Off by
      * default; Basic walks structural invariants every
      * check.everyEvents executed events, Deep additionally diffs
-     * lockstep reference models.  Checking is passive -- simulated
-     * timing and results are bit-identical with it on or off -- so,
-     * like metricsInterval, it is excluded from configFingerprint().
-     * The ULMT_CHECK environment variable (1/basic/deep) enables it
+     * lockstep reference models.  Passive like metricsInterval.  The
+     * ULMT_CHECK environment variable (1/basic/deep) enables it
      * process-wide when this field is Off.
      */
     check::CheckOptions check;
     /**
      * Prefetch lifecycle auditing and per-tenant interference
      * attribution (DESIGN.md section 12).  On by default; passive like
-     * metricsInterval and check -- simulated timing and determinism
-     * fingerprints are bit-identical with it on or off, so it is
-     * excluded from configFingerprint().  The ULMT_AUDIT environment
-     * variable (0/off or 1/on) overrides this field process-wide.
+     * metricsInterval.  The ULMT_AUDIT environment variable (0/off or
+     * 1/on) overrides this field process-wide.
      */
     bool audit = true;
     /**
      * Virtual-memory layer (DESIGN.md section 13): per-core TLBs, a
      * page-remap engine and page-size control.  Off by default --
-     * when vm.on() is false no Vm is built and the machine is
-     * bit-identical to the pre-VM simulator (fingerprints included).
+     * when vm.on() is false no Vm is built and simulated results are
+     * bit-identical to the pre-VM simulator.
      */
     vm::VmSpec vm;
     /**
      * Memory-side table cache (MSCache, DESIGN.md section 14).  Off
      * by default -- when tableCache.on() is false the table/DRAM
-     * path is bit-identical to the pre-cache simulator (fingerprints
-     * included).
+     * path is bit-identical to the pre-cache simulator.
      */
     mem::TableCacheSpec tableCache;
     /** Display name ("NoPref", "Conven4+Repl", ...). */
     std::string label = "NoPref";
+
+    /** Every field, named once (sim/fields.hh). */
+    template <class V>
+    static constexpr void
+    forEachField(V &&v)
+    {
+        v("timing", &SystemConfig::timing);
+        v("conven4", &SystemConfig::conven4);
+        v("ulmt", &SystemConfig::ulmt);
+        v("cores", &SystemConfig::cores);
+        v("ulmtMode", &SystemConfig::ulmtMode);
+        v("hwCorrSramBytes", &SystemConfig::hwCorrSramBytes);
+        v("hwCorrReplicated", &SystemConfig::hwCorrReplicated);
+        v("recordMissStream", &SystemConfig::recordMissStream);
+        v("metricsInterval", &SystemConfig::metricsInterval,
+          sim::passiveField);
+        v("check", &SystemConfig::check, sim::passiveField);
+        v("audit", &SystemConfig::audit, sim::passiveField);
+        v("vm", &SystemConfig::vm);
+        v("tableCache", &SystemConfig::tableCache);
+        v("label", &SystemConfig::label);
+    }
 };
+
+/**
+ * Fingerprint of everything that defines a simulated machine and its
+ * input: every field SystemConfig::forEachField reaches, except the
+ * passive ones, plus the workload name.  A snapshot only restores
+ * into a machine with the same fingerprint.
+ */
+std::uint64_t configFingerprint(const SystemConfig &cfg,
+                                const std::string &workload);
 
 /** All statistics from one run. */
 struct RunResult
@@ -204,6 +231,10 @@ struct RunResult
 
     /** Demand L2 miss stream (only when recordMissStream was set). */
     std::vector<sim::Addr> missStream;
+
+    /** Every non-passive registry entry at the end of the run (the
+     *  content of resultFingerprint()). */
+    std::vector<sim::StatLeaf> leaves;
 
     /** Sampled time series (empty when metricsInterval was 0).
      *  Observability only -- excluded from determinism fingerprints. */
@@ -301,14 +332,6 @@ class System
      * an uninterrupted run.
      */
     void restoreCheckpoint(const std::string &path);
-
-    /**
-     * Fingerprint of everything that defines the simulated machine
-     * and its input (timing, algorithm, label, workload name) --
-     * excluding passive observability (metricsInterval).  A snapshot
-     * only restores into a machine with the same fingerprint.
-     */
-    std::uint64_t configFingerprint() const;
 
     /** Deliver an OS page-remap notification to the ULMT (Sec 3.4). */
     void pageRemap(sim::Addr old_page, sim::Addr new_page,

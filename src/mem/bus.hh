@@ -122,6 +122,7 @@ class Bus
                          return static_cast<double>(
                              timeline_.busyTotal());
                      });
+        const sim::StatRegistry::PassiveScope passive(reg);
         reg.addGauge("bus.stale_requests", [this] {
             return static_cast<double>(timeline_.staleRequests());
         });

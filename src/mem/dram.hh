@@ -133,6 +133,7 @@ class Dram
         reg.addCounter("dram.accesses", &stats_.accesses);
         reg.addCounter("dram.row_hits", &stats_.rowHits);
         reg.addCounter("dram.row_misses", &stats_.rowMisses);
+        const sim::StatRegistry::PassiveScope passive(reg);
         reg.addGauge("dram.stale_requests", [this] {
             std::uint64_t n = 0;
             for (const Bank &b : banks_)

@@ -46,6 +46,15 @@ struct TableCacheSpec
     std::uint32_t assoc = 4;
 
     bool on() const { return entries != 0; }
+
+    /** Every field, named once (sim/fields.hh). */
+    template <class V>
+    static constexpr void
+    forEachField(V &&v)
+    {
+        v("entries", &TableCacheSpec::entries);
+        v("assoc", &TableCacheSpec::assoc);
+    }
 };
 
 /** Main cycles charged for a table-cache hit (SRAM, memory-side). */

@@ -42,6 +42,16 @@ struct CacheGeometry
 
     std::uint32_t numLines() const { return sizeBytes / lineBytes; }
     std::uint32_t numSets() const { return numLines() / assoc; }
+
+    /** Every field, named once (sim/fields.hh). */
+    template <class V>
+    static constexpr void
+    forEachField(V &&v)
+    {
+        v("sizeBytes", &CacheGeometry::sizeBytes);
+        v("assoc", &CacheGeometry::assoc);
+        v("lineBytes", &CacheGeometry::lineBytes);
+    }
 };
 
 /** All machine parameters (Table 3 defaults). */
@@ -118,6 +128,47 @@ struct TimingParams
     // Queue and filter structures (Fig. 3).
     std::uint32_t queueDepth = 16;     //!< depth of queues 1 through 6
     std::uint32_t filterEntries = 32;  //!< FIFO prefetch filter
+
+    /** Every field, named once (sim/fields.hh). */
+    template <class V>
+    static constexpr void
+    forEachField(V &&v)
+    {
+        v("issueWidth", &TimingParams::issueWidth);
+        v("maxPendingLoads", &TimingParams::maxPendingLoads);
+        v("maxPendingStores", &TimingParams::maxPendingStores);
+        v("robSize", &TimingParams::robSize);
+        v("l1", &TimingParams::l1);
+        v("l2", &TimingParams::l2);
+        v("streamNumSeq", &TimingParams::streamNumSeq);
+        v("streamNumPref", &TimingParams::streamNumPref);
+        v("l1HitRt", &TimingParams::l1HitRt);
+        v("l2HitRt", &TimingParams::l2HitRt);
+        v("l2Mshrs", &TimingParams::l2Mshrs);
+        v("busCyclesPerBeat", &TimingParams::busCyclesPerBeat);
+        v("busBytesPerBeat", &TimingParams::busBytesPerBeat);
+        v("reqPathCycles", &TimingParams::reqPathCycles);
+        v("respPathCycles", &TimingParams::respPathCycles);
+        v("dramChannels", &TimingParams::dramChannels);
+        v("dramBanksPerChannel", &TimingParams::dramBanksPerChannel);
+        v("dramRowBytes", &TimingParams::dramRowBytes);
+        v("bankRowHitCycles", &TimingParams::bankRowHitCycles);
+        v("bankRowMissCycles", &TimingParams::bankRowMissCycles);
+        v("channelXferCycles", &TimingParams::channelXferCycles);
+        v("tableBankRowHitCycles", &TimingParams::tableBankRowHitCycles);
+        v("tableBankRowMissCycles", &TimingParams::tableBankRowMissCycles);
+        v("tableChannelXferCycles", &TimingParams::tableChannelXferCycles);
+        v("placement", &TimingParams::placement);
+        v("memProcIssueWidth", &TimingParams::memProcIssueWidth);
+        v("memProcL1", &TimingParams::memProcL1);
+        v("memProcL1HitRtMemCycles", &TimingParams::memProcL1HitRtMemCycles);
+        v("tableAccessFixedDram", &TimingParams::tableAccessFixedDram);
+        v("tableAccessFixedNorthBridge",
+          &TimingParams::tableAccessFixedNorthBridge);
+        v("prefetchInjectDelay", &TimingParams::prefetchInjectDelay);
+        v("queueDepth", &TimingParams::queueDepth);
+        v("filterEntries", &TimingParams::filterEntries);
+    }
 
     /** Contention-free memory RT from the processor (row hit). */
     sim::Cycle

@@ -17,6 +17,7 @@ StatRegistry::insert(Entry e)
         throw std::invalid_argument(
             "stat registry: duplicate statistic name '" + e.name +
             "'");
+    e.passive = passive_;
     entries_.push_back(std::move(e));
 }
 
@@ -73,22 +74,29 @@ StatRegistry::visit(StatVisitor &v) const
     visit(v, [](const std::string &) { return true; });
 }
 
-void
-StatRegistry::visit(
-    StatVisitor &v,
-    const std::function<bool(const std::string &)> &keep) const
+std::vector<const StatRegistry::Entry *>
+StatRegistry::sorted(const std::function<bool(const Entry &)> &keep) const
 {
     std::vector<const Entry *> order;
     order.reserve(entries_.size());
     for (const Entry &e : entries_) {
-        if (keep(e.name))
+        if (keep(e))
             order.push_back(&e);
     }
     std::sort(order.begin(), order.end(),
               [](const Entry *a, const Entry *b) {
                   return a->name < b->name;
               });
-    for (const Entry *e : order) {
+    return order;
+}
+
+void
+StatRegistry::visit(
+    StatVisitor &v,
+    const std::function<bool(const std::string &)> &keep) const
+{
+    for (const Entry *e :
+         sorted([&keep](const Entry &e) { return keep(e.name); })) {
         switch (e->kind) {
           case Kind::Counter:
             v.counter(e->name, *e->counter);
@@ -104,6 +112,37 @@ StatRegistry::visit(
             break;
         }
     }
+}
+
+std::vector<StatLeaf>
+StatRegistry::leaves() const
+{
+    std::vector<StatLeaf> out;
+    for (const Entry *e :
+         sorted([](const Entry &e) { return !e.passive; })) {
+        std::string v;
+        switch (e->kind) {
+          case Kind::Counter:
+            v = std::to_string(*e->counter);
+            break;
+          case Kind::Gauge:
+            v = strformat("%a", e->gauge());
+            break;
+          case Kind::Sample:
+            v = strformat("(%llu,%a,%a,%a)",
+                          (unsigned long long)e->sample->count(),
+                          e->sample->sum(), e->sample->min(),
+                          e->sample->max());
+            break;
+          case Kind::Histogram:
+            for (std::size_t i = 0; i < e->hist->numBins(); ++i)
+                v += std::to_string(e->hist->binCount(i)) + ",";
+            v += "below=" + std::to_string(e->hist->below());
+            break;
+        }
+        out.push_back({e->name, std::move(v)});
+    }
+    return out;
 }
 
 namespace {

@@ -14,6 +14,10 @@
  * built-in visitor renders everything as one JSON object (used by
  * `tools/ulmt-stats dump` and available to any embedder).  Names are
  * visited in byte order so dumps are stable across registration order.
+ *
+ * The owner of a passive entry -- observability a checkpoint does not
+ * carry -- registers it inside a PassiveScope; leaves() copies out
+ * every other entry, and the result fingerprint compares those.
  */
 
 #ifndef SIM_STAT_REGISTRY_HH
@@ -44,10 +48,36 @@ class StatVisitor
                            const BinnedHistogram &h) = 0;
 };
 
+/** One non-passive registry entry, copied out by value. */
+struct StatLeaf
+{
+    std::string name;
+    /** Exact text: counters in decimal, doubles in hex float, samples
+     *  as (count,sum,min,max), histograms as bin and below counts. */
+    std::string value;
+};
+
 /** Registry of named statistics; one per simulated System. */
 class StatRegistry
 {
   public:
+    /** While alive, entries registered on @p reg are passive: dumped,
+     *  but left out of leaves(). */
+    class PassiveScope
+    {
+      public:
+        explicit PassiveScope(StatRegistry &reg) : reg_(reg)
+        {
+            reg_.passive_ = true;
+        }
+        ~PassiveScope() { reg_.passive_ = false; }
+        PassiveScope(const PassiveScope &) = delete;
+        PassiveScope &operator=(const PassiveScope &) = delete;
+
+      private:
+        StatRegistry &reg_;
+    };
+
     /**
      * Register a monotonically updated counter.  @p value must outlive
      * the registry.
@@ -82,6 +112,9 @@ class StatRegistry
     visit(StatVisitor &v,
           const std::function<bool(const std::string &)> &keep) const;
 
+    /** Every non-passive entry, in byte order of the names. */
+    std::vector<StatLeaf> leaves() const;
+
     /**
      * The JSON dump visitor: one object keyed by dotted path.
      * Counters and gauges render as numbers; samples as
@@ -103,6 +136,7 @@ class StatRegistry
     {
         std::string name;
         Kind kind;
+        bool passive = false;
         const std::uint64_t *counter = nullptr;
         std::function<double()> gauge;
         const SampleStat *sample = nullptr;
@@ -111,8 +145,14 @@ class StatRegistry
 
     void insert(Entry e);
 
+    /** The entries @p keep accepts, in byte order of the names. */
+    std::vector<const Entry *>
+    sorted(const std::function<bool(const Entry &)> &keep) const;
+
     std::vector<Entry> entries_;
     std::unordered_set<std::string> names_;
+    /** Set while a PassiveScope is alive. */
+    bool passive_ = false;
 };
 
 } // namespace sim

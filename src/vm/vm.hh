@@ -100,6 +100,19 @@ struct VmSpec
 
     /** log2(pageBytes). */
     std::uint32_t pageShift() const;
+
+    /** Every field, named once (sim/fields.hh).  The switch counts as
+     *  on(): forcing translation on is the same machine as turning
+     *  it on by a remap rate or a page size. */
+    template <class V>
+    static constexpr void
+    forEachField(V &&v)
+    {
+        v("enabled", &VmSpec::enabled, &VmSpec::on);
+        v("pageBytes", &VmSpec::pageBytes);
+        v("remapRate", &VmSpec::remapRate);
+        v("seed", &VmSpec::seed);
+    }
 };
 
 /** Per-core TLB / translation statistics. */

@@ -1,12 +1,14 @@
 /**
  * @file
  * Tests for the driver layer: configuration builders (incl. the Table
- * 5 customizations), the algorithm factory, report formatting, and the
- * profiling ULMT.
+ * 5 customizations), the algorithm factory, report formatting, the
+ * profiling ULMT, and the ULMT_CHECK / ULMT_AUDIT overrides.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -14,6 +16,8 @@
 #include "core/profiler.hh"
 #include "driver/experiment.hh"
 #include "driver/report.hh"
+#include "driver/system.hh"
+#include "workloads/workload.hh"
 
 namespace {
 
@@ -225,6 +229,74 @@ TEST(Profiler, ReportsHotPagesAndSets)
     EXPECT_GT(p.sequentialFraction, 0.5);
     EXPECT_GT(p.distinctLines, 60u);
     EXPECT_FALSE(p.hottestSets.empty());
+}
+
+/** Sets an environment variable for one scope, then restores it (CI
+ *  runs these tests with ULMT_CHECK=deep armed process-wide). */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        if (const char *old = std::getenv(name))
+            old_ = old;
+        ::setenv(name, value, 1);
+    }
+    ~ScopedEnv()
+    {
+        if (old_)
+            ::setenv(name_, old_->c_str(), 1);
+        else
+            ::unsetenv(name_);
+    }
+
+  private:
+    const char *name_;
+    std::optional<std::string> old_;
+};
+
+TEST(DriverEnv, UnknownCheckAndAuditValuesAreRejected)
+{
+    workloads::WorkloadParams wp;
+    wp.scale = 0.001;
+    auto wl = workloads::makeWorkload("MST", wp);
+    const driver::SystemConfig cfg;
+    for (const char *var : {"ULMT_CHECK", "ULMT_AUDIT"}) {
+        const ScopedEnv env(var, "garbage");
+        try {
+            driver::System sys(cfg, *wl);
+            ADD_FAILURE() << var << "=garbage was accepted";
+        } catch (const std::invalid_argument &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(var), std::string::npos) << what;
+            EXPECT_NE(what.find("'garbage'"), std::string::npos) << what;
+        }
+    }
+}
+
+TEST(DriverEnv, AcceptedSpellingsKeepTheirMeaning)
+{
+    workloads::WorkloadParams wp;
+    wp.scale = 0.001;
+    auto wl = workloads::makeWorkload("MST", wp);
+    const driver::SystemConfig cfg;
+    for (const char *off : {"", "0", "off"}) {
+        const ScopedEnv env("ULMT_CHECK", off);
+        EXPECT_EQ(driver::System(cfg, *wl).checker(), nullptr) << off;
+    }
+    for (const char *on : {"1", "basic", "deep"}) {
+        const ScopedEnv env("ULMT_CHECK", on);
+        driver::System sys(cfg, *wl);
+        ASSERT_NE(sys.checker(), nullptr) << on;
+    }
+    for (const char *off : {"0", "off"}) {
+        const ScopedEnv env("ULMT_AUDIT", off);
+        EXPECT_EQ(driver::System(cfg, *wl).audit(), nullptr) << off;
+    }
+    for (const char *on : {"", "1", "on"}) {
+        const ScopedEnv env("ULMT_AUDIT", on);
+        EXPECT_NE(driver::System(cfg, *wl).audit(), nullptr) << on;
+    }
 }
 
 } // namespace

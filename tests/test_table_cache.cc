@@ -4,8 +4,8 @@
  * DESIGN.md section 14): hit/miss/LRU policy, the dirty write-back
  * buffer with row-batched drains, range invalidation on page remaps,
  * the RefTableCache lockstep oracle, end-to-end deep checking,
- * checkpoint v5 round-trips, and the v4 / missing-section restore
- * guards.
+ * checkpoint round-trips, and the old-version / missing-section
+ * restore guards.
  */
 
 #include <gtest/gtest.h>
@@ -557,40 +557,25 @@ TEST(TableCacheCkptV5, MissingTcacheSectionRejectedWithClearMessage)
     std::remove(path.c_str());
 }
 
-TEST(TableCacheCkptV5, V4FilesStayReadableOnCacheOffMachines)
+TEST(TableCacheCkptV5, V4AndV5FilesAreRejectedNamingTheirVersion)
 {
-    const std::string path = "test_tcache_v4.ulmtckp";
+    // v6 fingerprints every visited config field, so no older file can
+    // match one: the version is the reason to report, not the machine.
+    const std::string path = "test_tcache_old.ulmtckp";
     ckpt::CheckpointImage img = offMachineImage(path);
-
-    // Forge the previous container version: a cache-off machine's
-    // section list is identical in v4 and v5, so the file must stay
-    // restorable there...
-    img.header.version = 4;
-    img.writeFile(path);
-    {
-        driver::SystemConfig cfg = tcacheConfig(0, 4);
-        workloads::WorkloadParams wp;
-        wp.scale = 0.002;
-        auto wl = workloads::makeWorkload("MST", wp);
-        driver::System sys(cfg, *wl);
-        sys.restoreCheckpoint(path);  // must not throw
-        const driver::RunResult r = sys.run();
-        EXPECT_GT(r.cycles, 0u);
-    }
-
-    // ... and still be rejected, clearly, by a cache-on machine.
-    driver::SystemConfig cfg = tcacheConfig(256, 4);
-    workloads::WorkloadParams wp;
-    wp.scale = 0.002;
-    auto wl = workloads::makeWorkload("MST", wp);
-    driver::System sys(cfg, *wl);
-    try {
-        sys.restoreCheckpoint(path);
-        FAIL() << "v4 file restored into --table-cache machine";
-    } catch (const ckpt::CkptError &e) {
-        EXPECT_NE(std::string(e.what()).find("table-cache"),
-                  std::string::npos)
-            << e.what();
+    for (std::uint32_t version : {4u, 5u}) {
+        img.header.version = version;
+        img.writeFile(path);
+        try {
+            ckpt::CheckpointImage::readFile(path);
+            FAIL() << "a v" << version << " file was accepted";
+        } catch (const ckpt::CkptError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "unsupported format version " +
+                          std::to_string(version)),
+                      std::string::npos)
+                << e.what();
+        }
     }
     std::remove(path.c_str());
 }

@@ -98,7 +98,7 @@ cmdCreate(const std::vector<std::string> &args)
         else if (const char *s = flagValue(arg, "--scale="))
             opt.scale = driver::parseScale(s);
         else if (const char *n = flagValue(arg, "--seed="))
-            opt.seed = std::strtoull(n, nullptr, 0);
+            opt.seed = driver::parseSeed(n);
         else if (arg == "--conven4")
             conven4 = true;
         else

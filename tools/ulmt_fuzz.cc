@@ -275,38 +275,38 @@ main(int argc, char **argv)
     chk.mode = check::CheckMode::Deep;
     chk.everyEvents = 512;  // short runs want a tight cadence
 
-    for (int i = 1; i < argc; ++i) {
-        if (const char *v = flagValue(argc, argv, i, "--seeds")) {
-            seeds = std::strtoull(v, nullptr, 0);
-        } else if (const char *v0 =
-                       flagValue(argc, argv, i, "--seed0")) {
-            seed0 = std::strtoull(v0, nullptr, 0);
-        } else if (const char *c =
-                       flagValue(argc, argv, i, "--check")) {
-            if (std::strcmp(c, "deep") == 0)
-                chk.mode = check::CheckMode::Deep;
-            else if (std::strcmp(c, "basic") == 0)
-                chk.mode = check::CheckMode::Basic;
-            else
-                return usage(argv[0]);
-        } else if (const char *iv =
-                       flagValue(argc, argv, i, "--interval")) {
-            chk.everyEvents = std::strtoull(iv, nullptr, 0);
-            if (chk.everyEvents == 0)
-                return usage(argv[0]);
-        } else if (const char *sc =
-                       flagValue(argc, argv, i, "--scale")) {
-            try {
+    try {
+        for (int i = 1; i < argc; ++i) {
+            if (const char *v = flagValue(argc, argv, i, "--seeds")) {
+                seeds = driver::parseSeed(v);
+            } else if (const char *v0 =
+                           flagValue(argc, argv, i, "--seed0")) {
+                seed0 = driver::parseSeed(v0);
+            } else if (const char *c =
+                           flagValue(argc, argv, i, "--check")) {
+                if (std::strcmp(c, "deep") == 0)
+                    chk.mode = check::CheckMode::Deep;
+                else if (std::strcmp(c, "basic") == 0)
+                    chk.mode = check::CheckMode::Basic;
+                else
+                    return usage(argv[0]);
+            } else if (const char *iv =
+                           flagValue(argc, argv, i, "--interval")) {
+                chk.everyEvents = std::strtoull(iv, nullptr, 0);
+                if (chk.everyEvents == 0)
+                    return usage(argv[0]);
+            } else if (const char *sc =
+                           flagValue(argc, argv, i, "--scale")) {
                 scale = driver::parseScale(sc);
-            } catch (const std::invalid_argument &e) {
-                std::fprintf(stderr, "ulmt-fuzz: %s\n", e.what());
-                return 2;
+            } else if (std::strcmp(argv[i], "-v") == 0) {
+                verbose_log = true;
+            } else {
+                return usage(argv[0]);
             }
-        } else if (std::strcmp(argv[i], "-v") == 0) {
-            verbose_log = true;
-        } else {
-            return usage(argv[0]);
         }
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "ulmt-fuzz: %s\n", e.what());
+        return 2;
     }
     if (seeds == 0)
         return usage(argv[0]);

@@ -193,7 +193,7 @@ cmdDump(const std::vector<std::string> &args)
         } else if (const char *v2 = flagValue(arg, "--scale=")) {
             opt.scale = driver::parseScale(v2);
         } else if (const char *v3 = flagValue(arg, "--seed=")) {
-            opt.seed = std::strtoull(v3, nullptr, 0);
+            opt.seed = driver::parseSeed(v3);
         } else if (const char *v4 = flagValue(arg, "--placement=")) {
             if (std::strcmp(v4, "dram") == 0)
                 opt.placement = mem::MemProcPlacement::InDram;

@@ -73,7 +73,7 @@ cmdRecord(const std::vector<std::string> &args)
         if (const char *v = flagValue(args[i], "--scale="))
             wp.scale = driver::parseScale(v);
         else if (const char *s = flagValue(args[i], "--seed="))
-            wp.seed = std::strtoull(s, nullptr, 0);
+            wp.seed = driver::parseSeed(s);
         else
             badFlag(args[i].c_str());
     }
