@@ -44,8 +44,7 @@ main(int argc, char **argv)
     const std::size_t per_app = 1 + algos.size();
 
     const std::vector<driver::RunResult> results =
-        driver::runAll(jobs);
-    harness.recordAll(results);
+        harness.run([&] { return driver::runAll(jobs); });
 
     driver::TextTable table({"Appl", "Config", "Speedup", "Hits",
                              "Replaced", "New conflict misses"});

@@ -96,8 +96,7 @@ main(int argc, char **argv)
         [&] { return runShared(a, b, scale, 2 * rows); },
     };
     const std::vector<driver::RunResult> results =
-        driver::runTasks(tasks);
-    harness.recordAll(results);
+        harness.run([&] { return driver::runTasks(tasks); });
 
     const Coverage solo_a = coverageOf(results[0]);
     const Coverage solo_b = coverageOf(results[1]);

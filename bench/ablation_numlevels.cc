@@ -42,8 +42,7 @@ main(int argc, char **argv)
     const std::size_t per_app = 1 + levels_sweep.size();
 
     const std::vector<driver::RunResult> results =
-        driver::runAll(jobs);
-    harness.recordAll(results);
+        harness.run([&] { return driver::runAll(jobs); });
 
     driver::TextTable table({"Appl", "NumLevels", "Speedup",
                              "Coverage", "Occupancy", "Table MB"});

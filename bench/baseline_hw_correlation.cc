@@ -60,8 +60,7 @@ main(int argc, char **argv)
     const std::size_t per_app = 5;
 
     const std::vector<driver::RunResult> results =
-        driver::runAll(jobs);
-    harness.recordAll(results);
+        harness.run([&] { return driver::runAll(jobs); });
 
     driver::TextTable table({"Appl", "HW-Base 1MB", "HW-Repl 1MB",
                              "HW-Repl 4MB", "ULMT Repl (no SRAM)"});

@@ -62,8 +62,7 @@ main(int argc, char **argv)
         }
     }
     const std::vector<driver::RunResult> results =
-        driver::runAll(jobs);
-    harness.recordAll(results);
+        harness.run([&] { return driver::runAll(jobs); });
 
     std::vector<Load> loads(variants.size());
     for (std::size_t ai = 0; ai < apps.size(); ++ai) {

@@ -65,8 +65,7 @@ main(int argc, char **argv)
         }
     }
     const std::vector<driver::RunResult> results =
-        driver::runAll(jobs);
-    harness.recordAll(results);
+        harness.run([&] { return driver::runAll(jobs); });
 
     for (std::size_t ai = 0; ai < apps.size(); ++ai) {
         for (std::size_t ei = 0; ei < entries.size(); ++ei) {

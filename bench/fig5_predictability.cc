@@ -122,8 +122,9 @@ main(int argc, char **argv)
         workloads::applicationNames();
 
     const std::vector<driver::RunResult> captures =
-        driver::captureMissStreamRuns(apps, opt);
-    harness.recordAll(captures);
+        harness.run([&] {
+            return driver::captureMissStreamRuns(apps, opt);
+        });
 
     // One chunk per (application, algorithm) replay; each writes its
     // own Cell, so the chunks are fully independent.

@@ -31,8 +31,7 @@ main(int argc, char **argv)
     for (const std::string &app : apps)
         jobs.push_back({app, driver::noPrefConfig(opt), opt});
     const std::vector<driver::RunResult> results =
-        driver::runAll(jobs);
-    harness.recordAll(results);
+        harness.run([&] { return driver::runAll(jobs); });
 
     driver::TextTable table({"Appl", "[0,80)", "[80,200)", "[200,280)",
                              "[280,inf)"});

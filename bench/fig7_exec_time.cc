@@ -52,8 +52,7 @@ main(int argc, char **argv)
     const std::size_t per_app = jobs.size() / apps.size();
 
     const std::vector<driver::RunResult> results =
-        driver::runAll(jobs);
-    harness.recordAll(results);
+        harness.run([&] { return driver::runAll(jobs); });
 
     driver::TextTable table({"Appl", "Config", "Norm.time", "Busy",
                              "UptoL2", "BeyondL2", "Speedup"});

@@ -45,8 +45,7 @@ main(int argc, char **argv)
         jobs.push_back({app, std::move(nb_cfg), nb});
     }
     const std::vector<driver::RunResult> results =
-        driver::runAll(jobs);
-    harness.recordAll(results);
+        harness.run([&] { return driver::runAll(jobs); });
 
     driver::TextTable table({"Appl", "Config", "Norm.time", "Busy",
                              "UptoL2", "BeyondL2", "Speedup"});

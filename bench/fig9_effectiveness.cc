@@ -147,8 +147,7 @@ main(int argc, char **argv)
     const std::size_t per_app = 1 + configs.size();
 
     const std::vector<driver::RunResult> results =
-        driver::runAll(jobs);
-    harness.recordAll(results);
+        harness.run([&] { return driver::runAll(jobs); });
 
     // group -> config -> accumulated breakdown
     std::map<std::string, std::map<std::string, Breakdown>> groups;

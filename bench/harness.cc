@@ -172,19 +172,22 @@ Harness::Harness(std::string name, const Options &opt)
 {
 }
 
-void
-Harness::record(const driver::RunResult &r)
+std::vector<driver::RunResult>
+Harness::run(const std::function<std::vector<driver::RunResult>()> &batch)
 {
-    runs_.push_back(r);
-    // No JSON field reads the miss stream; drop the second copy.
-    runs_.back().missStream = std::vector<sim::Addr>();
-}
-
-void
-Harness::recordAll(const std::vector<driver::RunResult> &rs)
-{
-    for (const driver::RunResult &r : rs)
-        record(r);
+    std::vector<driver::RunResult> results;
+    try {
+        results = batch();
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "fatal: %s\n", e.what());
+        std::exit(2);
+    }
+    for (const driver::RunResult &r : results) {
+        runs_.push_back(r);
+        // No JSON field reads the miss stream; drop the second copy.
+        runs_.back().missStream = std::vector<sim::Addr>();
+    }
+    return results;
 }
 
 void

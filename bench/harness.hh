@@ -40,6 +40,7 @@
 #define BENCH_HARNESS_HH
 
 #include <chrono>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -104,11 +105,15 @@ class Harness
     /** @param name the bench name, e.g. "fig7_exec_time". */
     Harness(std::string name, const Options &opt);
 
-    /** Record one completed simulation run. */
-    void record(const driver::RunResult &r);
-
-    /** Record a batch (e.g. the output of driver::runAll). */
-    void recordAll(const std::vector<driver::RunResult> &rs);
+    /**
+     * Run the bench's simulations (e.g. `[&] { return
+     * driver::runAll(jobs); }`), record every result and return them.
+     * A run that throws (a snapshot that does not match its config, a
+     * bad ULMT_CHECK value, ...) prints a `fatal:` message naming the
+     * cause and exits with status 2, writing no JSON.
+     */
+    std::vector<driver::RunResult>
+    run(const std::function<std::vector<driver::RunResult>()> &batch);
 
     /** Report a figure-level metric (average speedup, coverage, ...). */
     void metric(const std::string &key, double value);

@@ -105,8 +105,7 @@ main(int argc, char **argv)
     }
 
     const std::vector<driver::RunResult> results =
-        driver::runAll(jobs);
-    harness.recordAll(results);
+        harness.run([&] { return driver::runAll(jobs); });
 
     driver::TextTable table({"Appl", "Mode", "Cores", "Core0 cycles",
                              "Slowdown", "Q1 wait", "PF/core",

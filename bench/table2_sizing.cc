@@ -62,8 +62,9 @@ main(int argc, char **argv)
     const std::vector<std::string> apps =
         workloads::applicationNames();
     const std::vector<driver::RunResult> captures =
-        driver::captureMissStreamRuns(apps, opt);
-    harness.recordAll(captures);
+        harness.run([&] {
+            return driver::captureMissStreamRuns(apps, opt);
+        });
 
     // One replay chunk per application, each writing its own slot.
     std::vector<Sizing> sizing(apps.size());

@@ -84,8 +84,7 @@ main(int argc, char **argv)
     }
 
     const std::vector<driver::RunResult> results =
-        driver::runAll(jobs);
-    harness.recordAll(results);
+        harness.run([&] { return driver::runAll(jobs); });
 
     driver::TextTable table({"Appl", "Entries", "Ways", "Resp mean",
                              "Occ mean", "Hit rate", "Table DRAM",

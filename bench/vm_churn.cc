@@ -98,8 +98,7 @@ main(int argc, char **argv)
     }
 
     const std::vector<driver::RunResult> results =
-        driver::runAll(jobs);
-    harness.recordAll(results);
+        harness.run([&] { return driver::runAll(jobs); });
 
     driver::TextTable table({"Appl", "Algo", "Page", "Rate/Mc",
                              "Coverage", "Accuracy", "Remaps",

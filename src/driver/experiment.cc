@@ -181,7 +181,7 @@ parseScale(const std::string &s)
 }
 
 std::uint64_t
-parseSeed(const std::string &s)
+parseUint(const std::string &s, const std::string &what)
 {
     const bool hex = s.size() > 2 && s[0] == '0' &&
                      (s[1] == 'x' || s[1] == 'X');
@@ -191,9 +191,15 @@ parseSeed(const std::string &s)
     const auto [end, ec] = std::from_chars(first, last, v, hex ? 16 : 10);
     if (first == last || ec != std::errc{} || end != last)
         throw std::invalid_argument(
-            "bad seed '" + s +
+            "bad " + what + " '" + s +
             "' (expected a decimal or 0x-hex integer below 2^64)");
     return v;
+}
+
+std::uint64_t
+parseSeed(const std::string &s)
+{
+    return parseUint(s, "seed");
 }
 
 std::vector<std::unique_ptr<workloads::Workload>>

@@ -122,9 +122,12 @@ const char *flagValue(const std::string &arg, const char *key);
 double parseScale(const std::string &s);
 
 /**
- * A seed: the whole of @p s as a decimal or 0x-hex integer below 2^64.
- * @throws std::invalid_argument naming the input otherwise.
+ * The whole of @p s as a decimal or 0x-hex integer below 2^64.
+ * @throws std::invalid_argument "bad <what> '<s>' ..." otherwise.
  */
+std::uint64_t parseUint(const std::string &s, const std::string &what);
+
+/** A seed: parseUint(s, "seed"). */
 std::uint64_t parseSeed(const std::string &s);
 
 /**

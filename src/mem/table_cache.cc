@@ -146,6 +146,18 @@ TableCache::drainRow(sim::Addr row, std::vector<sim::Addr> &writebacks)
 }
 
 void
+TableCache::flushLine(TableCacheLine &line,
+                      std::vector<sim::Addr> &writebacks)
+{
+    if (line.dirty) {
+        writebacks.push_back(line.tag);
+        ++stats_.writebacks;
+        ++stats_.dramAccesses;
+    }
+    line.valid = false;
+}
+
+void
 TableCache::invalidateRange(sim::Addr lo, sim::Addr hi,
                             std::vector<sim::Addr> &writebacks)
 {
@@ -153,15 +165,31 @@ TableCache::invalidateRange(sim::Addr lo, sim::Addr hi,
         return;
     if (shadow_)
         shadow_->onInvalidateRange(lo, hi);
-    for (auto &line : lines_) {
-        if (!line.valid || line.tag < lo || line.tag >= hi)
-            continue;
-        if (line.dirty) {
-            writebacks.push_back(line.tag);
-            ++stats_.writebacks;
-            ++stats_.dramAccesses;
+    // Tags are line addresses, so only the n lines first, first +
+    // lineBytes_, ..., last can match, and line i of them lives in set
+    // (setIndex(first) + i) % numSets_.  With n < numSets_ those sets
+    // are distinct, so one find() per line replaces the full walk.
+    // Write-backs leave in tag-array index order either way: the lines
+    // from i = wrap on wrapped past the last set into the lowest sets,
+    // so they are probed first.
+    const sim::Addr last = lineAddr(hi - 1);
+    if (last >= lo) {
+        const sim::Addr n = (last - lo) / lineBytes_ + 1;
+        if (n >= numSets_) {
+            for (TableCacheLine &line : lines_) {
+                if (line.valid && line.tag >= lo && line.tag < hi)
+                    flushLine(line, writebacks);
+            }
+        } else {
+            const sim::Addr first = last - (n - 1) * lineBytes_;
+            const sim::Addr wrap =
+                std::min<sim::Addr>(n, numSets_ - setIndex(first));
+            for (sim::Addr j = 0; j < n; ++j) {
+                const sim::Addr i = (j + wrap) % n;
+                if (TableCacheLine *line = find(first + i * lineBytes_))
+                    flushLine(*line, writebacks);
+            }
         }
-        line.valid = false;
     }
     for (std::size_t i = 0; i < dirtyBuf_.size();) {
         if (dirtyBuf_[i] >= lo && dirtyBuf_[i] < hi) {
@@ -265,6 +293,12 @@ TableCache::restoreState(ckpt::StateReader &r)
         TableCacheLine &line = lines_[i];
         line.valid = true;
         line.tag = r.u64();
+        // invalidateRange() probes a line only in the set its tag maps
+        // to, so a misplaced line would outlive its invalidation.
+        if (lineAddr(line.tag) != line.tag ||
+            setIndex(line.tag) != i / assoc_)
+            throw ckpt::CkptError(
+                "table cache: line tag does not map to its set");
         line.dirty = r.b();
         line.lruStamp = r.u64();
     }

@@ -151,7 +151,14 @@ class TableCache
      * Drop every cached line in [@p lo, @p hi) -- the page-remap hook:
      * relocated table rows must not be served from stale cache lines.
      * Dirty lines (resident or still in the dirty buffer) are flushed:
-     * they are appended to @p writebacks for the caller to perform.
+     * they are appended to @p writebacks for the caller to perform --
+     * resident lines in tag-array index (set, way) order, then
+     * buffered ones oldest first.  @p lo and @p hi need not be
+     * line-aligned.
+     *
+     * Cost: a range of n line addresses probes the assoc() ways of
+     * the n sets they map to; only when n >= numSets() does it walk
+     * the whole array once.  Either way the dirty buffer is scanned.
      */
     void invalidateRange(sim::Addr lo, sim::Addr hi,
                          std::vector<sim::Addr> &writebacks);
@@ -208,6 +215,9 @@ class TableCache
     std::uint32_t setIndex(sim::Addr line_addr) const;
     sim::Addr lineAddr(sim::Addr addr) const;
     TableCacheLine *find(sim::Addr line_addr);
+    /** Drop a valid line, writing it back if dirty. */
+    void flushLine(TableCacheLine &line,
+                   std::vector<sim::Addr> &writebacks);
     /** Install @p line_addr, spilling a dirty victim into the buffer
      *  (which may overflow into a row-batched drain). */
     void install(sim::Addr line_addr, bool dirty,

@@ -2,14 +2,16 @@
  * @file
  * Tests for the memory-side correlation-table cache (MSCache,
  * DESIGN.md section 14): hit/miss/LRU policy, the dirty write-back
- * buffer with row-batched drains, range invalidation on page remaps,
- * the RefTableCache lockstep oracle, end-to-end deep checking,
+ * buffer with row-batched drains, range invalidation on page remaps
+ * (its set probes against the full walk, on seeded streams), the
+ * RefTableCache lockstep oracle, end-to-end deep checking,
  * checkpoint round-trips, and the old-version / missing-section
  * restore guards.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "driver/report.hh"
 #include "driver/system.hh"
 #include "mem/table_cache.hh"
+#include "sim/random.hh"
 #include "workloads/workload.hh"
 
 namespace check {
@@ -235,6 +238,241 @@ TEST(TableCacheUnit, InvariantsHoldAfterMixedTraffic)
 }
 
 // ====================================================================
+// Range invalidation: set probes against the full walk
+// ====================================================================
+
+/** The tag array in index (set, way) order. */
+std::vector<mem::TableCacheLine>
+tagArray(const mem::TableCache &c)
+{
+    std::vector<mem::TableCacheLine> out;
+    c.forEachLine([&](std::uint32_t, std::uint32_t,
+                      const mem::TableCacheLine &l) { out.push_back(l); });
+    return out;
+}
+
+bool
+inRange(sim::Addr a, sim::Addr lo, sim::Addr hi)
+{
+    return a >= lo && a < hi;
+}
+
+/**
+ * Invalidates [@p lo, @p hi) and checks it against the full walk,
+ * derived from the state beforehand: the write-backs are the valid
+ * in-range dirty lines in index order, then the in-range buffered
+ * lines oldest first; in-range lines end invalid while every other
+ * line and buffered entry is untouched; only the write-back counters
+ * move, by exactly the write-backs.  Returns the write-backs.
+ */
+std::vector<sim::Addr>
+invalidateLikeFullWalk(mem::TableCache &c, sim::Addr lo, sim::Addr hi)
+{
+    const std::vector<mem::TableCacheLine> before = tagArray(c);
+    const mem::TableCacheStats st = c.stats();
+    std::vector<sim::Addr> want, buf_want;
+    for (const mem::TableCacheLine &l : before) {
+        if (l.valid && l.dirty && inRange(l.tag, lo, hi))
+            want.push_back(l.tag);
+    }
+    for (sim::Addr a : c.dirtyBuffer())
+        (inRange(a, lo, hi) ? want : buf_want).push_back(a);
+
+    constexpr sim::Addr kMarker = 0xdead;  // appended to, never cleared
+    std::vector<sim::Addr> got = {kMarker};
+    c.invalidateRange(lo, hi, got);
+    EXPECT_EQ(got.front(), kMarker);
+    got.erase(got.begin());
+    EXPECT_EQ(got, want) << "writebacks of [" << lo << ", " << hi << ")";
+
+    const std::vector<mem::TableCacheLine> after = tagArray(c);
+    for (std::size_t i = 0; i < before.size(); ++i) {
+        const mem::TableCacheLine &a = before[i];
+        const mem::TableCacheLine &b = after[i];
+        if (a.valid && inRange(a.tag, lo, hi)) {
+            EXPECT_FALSE(b.valid) << "line " << i << " tag " << a.tag
+                                  << " survived [" << lo << ", " << hi
+                                  << ")";
+        } else {
+            EXPECT_TRUE(a.valid == b.valid &&
+                        (!a.valid || (a.tag == b.tag &&
+                                      a.dirty == b.dirty &&
+                                      a.lruStamp == b.lruStamp)))
+                << "line " << i << " outside [" << lo << ", " << hi
+                << ") changed";
+        }
+    }
+    EXPECT_EQ(c.dirtyBuffer(), buf_want);
+    EXPECT_EQ(c.stats().hits, st.hits);
+    EXPECT_EQ(c.stats().misses, st.misses);
+    EXPECT_EQ(c.stats().writebacks, st.writebacks + want.size());
+    EXPECT_EQ(c.stats().dramAccesses, st.dramAccesses + want.size());
+    EXPECT_EQ(c.stats().dramAccesses,
+              c.stats().misses + c.stats().writebacks);
+    check::CheckContext ctx;
+    c.checkInvariants(ctx);
+    EXPECT_TRUE(ctx.ok()) << ctx.report("table cache");
+    return got;
+}
+
+/** Line @p i of the address space (set i % numSets). */
+constexpr sim::Addr
+lineAt(std::uint64_t i)
+{
+    return i * kLine;
+}
+
+/** 8 sets x 2 ways with lines [0, n) written in address order, so
+ *  each set holds its lower line in way 0 and its higher in way 1. */
+mem::TableCache
+dirtyEightSets(std::uint64_t n = 16)
+{
+    mem::TableCache c = smallCache(16, 2);
+    std::vector<sim::Addr> wbs;
+    for (std::uint64_t i = 0; i < n; ++i)
+        c.access(lineAt(i), true, wbs);
+    return c;
+}
+
+TEST(TableCacheInvalidate, WrapPastTheLastSetKeepsIndexOrder)
+{
+    // Lines 6..9 map to sets 6, 7, 0, 1: the wrapped lines 8 and 9
+    // sit in the lowest sets, so they leave first.
+    mem::TableCache c = dirtyEightSets(10);
+    EXPECT_EQ(invalidateLikeFullWalk(c, lineAt(6), lineAt(10)),
+              (std::vector<sim::Addr>{lineAt(8), lineAt(9), lineAt(6),
+                                      lineAt(7)}));
+}
+
+TEST(TableCacheInvalidate, UnalignedBoundsCoverTheLinesStartingInside)
+{
+    mem::TableCache c = dirtyEightSets(8);
+    // Line 2 starts below lo; line 5 starts below hi.
+    EXPECT_EQ(invalidateLikeFullWalk(c, lineAt(2) + 1, lineAt(5) + 1),
+              (std::vector<sim::Addr>{lineAt(3), lineAt(4), lineAt(5)}));
+    // An aligned hi excludes the line starting there.
+    EXPECT_EQ(invalidateLikeFullWalk(c, lineAt(1), lineAt(2)),
+              std::vector<sim::Addr>{lineAt(1)});
+    EXPECT_EQ(invalidateLikeFullWalk(c, lineAt(6) - 1, lineAt(7) - 1),
+              std::vector<sim::Addr>{lineAt(6)});
+}
+
+TEST(TableCacheInvalidate, EmptyRangesTouchNothing)
+{
+    mem::TableCache c = dirtyEightSets();
+    const std::vector<sim::Addr> none;
+    EXPECT_EQ(invalidateLikeFullWalk(c, lineAt(3), lineAt(3)), none);
+    EXPECT_EQ(invalidateLikeFullWalk(c, lineAt(5), lineAt(3)), none);
+    // Non-empty, but no line starts inside it.
+    EXPECT_EQ(invalidateLikeFullWalk(c, lineAt(3) + 1, lineAt(4)), none);
+}
+
+TEST(TableCacheInvalidate, BothSidesOfTheFullWalkFallback)
+{
+    // numSets - 1 and fewer lines are probed, numSets and more walk
+    // the array; with 9 lines two share a set, and way order (lower
+    // address first) differs from the probe's wrap order.
+    for (std::uint64_t n : {7u, 8u, 9u, 15u, 16u}) {
+        for (std::uint64_t start = 0; start < 8; ++start) {
+            mem::TableCache c = dirtyEightSets();
+            const std::vector<sim::Addr> got = invalidateLikeFullWalk(
+                c, lineAt(start), lineAt(start + n));
+            EXPECT_EQ(got.size(), std::min<std::uint64_t>(n, 16 - start))
+                << n << " lines from set " << start;
+        }
+    }
+}
+
+TEST(TableCacheInvalidate, RangeHittingOnlyTheDirtyBuffer)
+{
+    mem::TableCache c = smallCache(16, 2);
+    std::vector<sim::Addr> wbs;
+    c.access(lineAt(0), true, wbs);
+    c.access(lineAt(8), false, wbs);
+    c.access(lineAt(16), false, wbs);  // evicts dirty line 0
+    ASSERT_EQ(c.dirtyBuffer(), std::vector<sim::Addr>{lineAt(0)});
+    EXPECT_EQ(invalidateLikeFullWalk(c, lineAt(0), lineAt(1)),
+              std::vector<sim::Addr>{lineAt(0)});
+    EXPECT_TRUE(c.dirtyBuffer().empty());
+}
+
+/**
+ * Seeded access/invalidate streams over one geometry: ranges of every
+ * length class around the fallback, unaligned, empty or wrapping.
+ * Returns how many invalidations wrote resident lines back out of
+ * address order (a wrapped range: the order-sensitive case).
+ */
+std::uint64_t
+runInvalidateDifferential(std::uint32_t entries, std::uint32_t assoc,
+                          std::uint64_t seed, std::size_t steps)
+{
+    mem::TableCache c = smallCache(entries, assoc);
+    const std::uint64_t sets = c.numSets();
+    const std::uint64_t span = 2 * std::uint64_t(entries);  // lines
+    const sim::Addr base = lineAt(8 * span);
+    sim::Rng rng(seed);
+    std::vector<sim::Addr> wbs;
+    std::uint64_t out_of_order = 0;
+    for (std::size_t step = 0; step < steps; ++step) {
+        if (!rng.chance(0.05)) {
+            c.access(base + lineAt(rng.below(span)) + rng.below(kLine),
+                     rng.chance(0.5), wbs);
+            continue;
+        }
+        std::uint64_t lines = 0;
+        switch (rng.below(5)) {
+          case 0: lines = rng.below(4); break;  // a table row
+          case 1: lines = 1 + rng.below(sets); break;
+          case 2: lines = sets - 1 + rng.below(3); break;
+          case 3: lines = sets + rng.below(span); break;
+          default: lines = rng.below(8 * span); break;
+        }
+        // Half of the ranges start in the last few sets, so short
+        // ones wrap too.
+        std::uint64_t first = rng.below(span);
+        if (rng.chance(0.5))
+            first = first - first % sets + sets - 1 -
+                    rng.below(std::min<std::uint64_t>(sets, 4));
+        sim::Addr lo = base + lineAt(first);
+        sim::Addr hi = lo + lineAt(lines);
+        if (rng.chance(0.3))
+            lo += rng.below(kLine);
+        if (rng.chance(0.3))
+            hi += rng.below(kLine);
+        if (rng.chance(0.05))
+            std::swap(lo, hi);
+        const auto buffered = std::count_if(
+            c.dirtyBuffer().begin(), c.dirtyBuffer().end(),
+            [&](sim::Addr a) { return inRange(a, lo, hi); });
+        const std::vector<sim::Addr> got =
+            invalidateLikeFullWalk(c, lo, hi);
+        if (::testing::Test::HasFailure())
+            return out_of_order;
+        out_of_order += !std::is_sorted(got.begin(), got.end() - buffered);
+    }
+    return out_of_order;
+}
+
+TEST(TableCacheInvalidate, RandomStreamsMatchTheFullWalk)
+{
+    struct Geometry
+    {
+        std::uint32_t entries, assoc;
+    };
+    for (const Geometry g : {Geometry{16, 4}, Geometry{256, 4},
+                             Geometry{4096, 8}}) {
+        std::uint64_t out_of_order = 0;
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            out_of_order += runInvalidateDifferential(
+                g.entries, g.assoc, seed, 20000);
+            ASSERT_FALSE(HasFailure())
+                << g.entries << "x" << g.assoc << " seed " << seed;
+        }
+        EXPECT_GT(out_of_order, 0u) << g.entries << "x" << g.assoc;
+    }
+}
+
+// ====================================================================
 // Save / restore
 // ====================================================================
 
@@ -298,6 +536,23 @@ TEST(TableCacheCkpt, RestoreRejectsGeometryMismatch)
         EXPECT_NE(std::string(e.what()).find("geometry"),
                   std::string::npos)
             << e.what();
+    }
+}
+
+TEST(TableCacheCkpt, RestoreRejectsALineOutsideItsSet)
+{
+    // invalidateRange() only probes the set a tag maps to, so a
+    // snapshot may not place a line anywhere else.
+    for (sim::Addr bad : {setAddr(1, 0), setAddr(0, 0) + 1}) {
+        mem::TableCache a = smallCache();
+        std::vector<sim::Addr> wbs;
+        a.access(setAddr(0, 0), true, wbs);
+        CheckTestPeer::line(a, 0, 0).tag = bad;
+        ckpt::StateWriter w;
+        a.saveState(w);
+        mem::TableCache b = smallCache();
+        ckpt::StateReader r(w.buffer());
+        EXPECT_THROW(b.restoreState(r), ckpt::CkptError) << bad;
     }
 }
 

@@ -292,9 +292,12 @@ main(int argc, char **argv)
                     return usage(argv[0]);
             } else if (const char *iv =
                            flagValue(argc, argv, i, "--interval")) {
-                chk.everyEvents = std::strtoull(iv, nullptr, 0);
+                chk.everyEvents =
+                    driver::parseUint(iv, "--interval value");
                 if (chk.everyEvents == 0)
-                    return usage(argv[0]);
+                    throw std::invalid_argument(
+                        std::string("bad --interval value '") + iv +
+                        "' (expected at least 1)");
             } else if (const char *sc =
                            flagValue(argc, argv, i, "--scale")) {
                 scale = driver::parseScale(sc);
